@@ -136,19 +136,24 @@ HarnessResult::summaryTable(const std::string &title) const
 TextTable
 HarnessResult::timingTable() const
 {
+    // A quantity this run never measured prints "n/a", not 0: a
+    // server's exit report has no wall clock of its own, and a wire
+    // client cannot observe the server's miss cost.
+    const auto percentileUs = [](const Histogram &h, double frac) {
+        return h.totalCount() == 0
+                   ? std::string("n/a")
+                   : TextTable::num(h.percentile(frac) / 1e3, 2);
+    };
+    const bool timed = wallSec > 0.0;
     TextTable table("timing (wall-clock; varies run to run)");
     table.setHeader({"metric", "value"});
     table.addRow({"workers", TextTable::count(workers)});
-    table.addRow({"wall s", TextTable::num(wallSec, 3)});
-    table.addRow({"qps", TextTable::num(qps, 0)});
-    table.addRow(
-        {"op latency p50 us", TextTable::num(opLatencyNs.percentile(0.50) / 1e3, 2)});
-    table.addRow(
-        {"op latency p90 us", TextTable::num(opLatencyNs.percentile(0.90) / 1e3, 2)});
-    table.addRow(
-        {"op latency p99 us", TextTable::num(opLatencyNs.percentile(0.99) / 1e3, 2)});
-    table.addRow(
-        {"miss cost p99 us", TextTable::num(missLatencyNs.percentile(0.99) / 1e3, 2)});
+    table.addRow({"wall s", timed ? TextTable::num(wallSec, 3) : "n/a"});
+    table.addRow({"qps", timed ? TextTable::num(qps, 0) : "n/a"});
+    table.addRow({"op latency p50 us", percentileUs(opLatencyNs, 0.50)});
+    table.addRow({"op latency p90 us", percentileUs(opLatencyNs, 0.90)});
+    table.addRow({"op latency p99 us", percentileUs(opLatencyNs, 0.99)});
+    table.addRow({"miss cost p99 us", percentileUs(missLatencyNs, 0.99)});
     return table;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <thread>
 #include <vector>
 
@@ -163,12 +162,14 @@ runClientLoad(const ClientConfig &config)
         ConnOutput &out = outputs[c];
         RespClient client(config.host, config.port,
                           config.timeoutSec);
-        std::deque<std::pair<char, Clock::time_point>> window;
+        // One window at a time: encode up to --pipeline commands,
+        // write them with one flush, then read their replies.
+        std::vector<char> window;
+        window.reserve(config.pipeline);
+        Clock::time_point sent_at;
 
-        const auto drainOne = [&] {
+        const auto readOne = [&](char verb) {
             const RespClient::Reply reply = client.readReply();
-            const auto [verb, sent_at] = window.front();
-            window.pop_front();
             out.opLatencyNs.add(
                 std::chrono::duration<double, std::nano>(
                     Clock::now() - sent_at)
@@ -194,30 +195,35 @@ runClientLoad(const ClientConfig &config)
                 ++out.mismatches;
         };
 
+        const auto flushWindow = [&] {
+            sent_at = Clock::now();
+            client.flush();
+            for (const char verb : window)
+                readOne(verb);
+            window.clear();
+        };
+
         for (const Op &op : plan[c]) {
-            char verb = 'G';
             if (op.del) {
                 client.send({"DEL", std::to_string(op.key)});
                 ++out.dels;
-                verb = 'D';
+                window.push_back('D');
             } else if (op.write) {
                 client.send({"SET", std::to_string(op.key),
                              std::to_string(harnessPayload(
                                  config.harness.seed, op.key))});
                 ++out.sets;
-                verb = 'S';
+                window.push_back('S');
             } else {
                 client.send({"GET", std::to_string(op.key)});
                 ++out.gets;
+                window.push_back('G');
             }
-            window.emplace_back(verb, Clock::now());
-            client.flush();
-            while (window.size() >= config.pipeline)
-                drainOne();
+            if (window.size() == config.pipeline)
+                flushWindow();
         }
-        client.flush();
-        while (!window.empty())
-            drainOne();
+        if (!window.empty())
+            flushWindow();
     };
 
     WallTimer wall;

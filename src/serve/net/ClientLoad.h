@@ -10,7 +10,8 @@
  * (HarnessConfig::replayPath; Get/Set/Del records become
  * GET/SET/DEL commands); ops are partitioned over C connections by
  * OWNING SERVER SHARD (shard % C), each connection pipelines its
- * share in global stream order, and a connection's requests are
+ * share in global stream order (a window of --pipeline commands per
+ * write), and a connection's requests are
  * executed by the server in arrival order -- so every server shard
  * sees the same op subsequence in the same order as an in-process
  * run with the same flags, and the server's deterministic
@@ -37,7 +38,8 @@ struct ClientConfig
     std::uint16_t port = 0;
     /** Concurrent connections, each on its own thread. */
     unsigned connections = 2;
-    /** In-flight request window per connection. */
+    /** Commands per window: each connection writes a window with
+     *  one flush, then reads all of its replies. */
     std::size_t pipeline = 64;
     /** Socket timeout per read/connect; 0 = unbounded. */
     double timeoutSec = 30.0;

@@ -147,12 +147,10 @@ Connection::onEvents(std::uint32_t events)
         closeNow();
         return;
     }
-    if (events & EPOLLOUT)
-        onWritable();
-    if (closed_)
-        return;
     if (events & EPOLLIN)
         onReadable();
+    // Readable or writable, the socket is written at the turn's end.
+    queueTurnEnd();
 }
 
 bool
@@ -168,6 +166,7 @@ Connection::onReadable()
     char chunk[kReadChunk];
     bool sawBytes = false;
     while (true) {
+        SyscallCounters::bump(ctx_.loop.syscalls().recvCalls);
         const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n > 0) {
             sawBytes = true;
@@ -194,24 +193,11 @@ Connection::onReadable()
     if (sawBytes)
         lastActivityNs_ = monotonicNowNs();
     processBuffered();
-    if (closed_)
-        return;
-    flushOutput();
-    if (closed_)
-        return;
-    updateInterest();
-    maybeClose();
 }
 
 void
 Connection::processBuffered()
 {
-    // Reentrancy guard: a synchronous verb's reply lands via
-    // fillSlot() while we are still inside this loop, and fillSlot
-    // would otherwise try to resume parsing recursively.
-    if (processing_)
-        return;
-    processing_ = true;
     RespCommand cmd;
     while (!closed_ && !closeAfterReply_ && !stalled()) {
         const RespParseStatus status = parser_.next(cmd);
@@ -226,9 +212,13 @@ Connection::processBuffered()
         }
         execute(std::move(cmd));
     }
-    processing_ = false;
-    if (!closed_)
-        notePartialFrame();
+    if (closed_)
+        return;
+    heldBack_ = !closeAfterReply_ && stalled();
+    if (heldBack_)
+        ctx_.stats.backpressureStalls.fetch_add(
+            1, std::memory_order_relaxed);
+    notePartialFrame();
 }
 
 void
@@ -373,21 +363,42 @@ Connection::fillSlot(std::uint64_t slot, std::string reply_text)
                                                  s.start)
             .count());
     flushReady();
-    flushOutput();
+    queueTurnEnd();
+}
+
+void
+Connection::queueTurnEnd()
+{
+    if (turnEndQueued_ || closed_)
+        return;
+    turnEndQueued_ = true;
+    auto self = weak_from_this();
+    ctx_.loop.atTurnEnd([self] {
+        if (auto conn = self.lock())
+            conn->onTurnEnd();
+    });
+}
+
+void
+Connection::onTurnEnd()
+{
+    turnEndQueued_ = false;
     if (closed_)
         return;
-    // A drained slot queue may lift backpressure; bytes already
-    // sitting in the parser will never get another EPOLLIN, so
-    // resume decoding them here (no-op while inside
-    // processBuffered()).
-    if (!processing_ && !stalled() && parser_.buffered() > 0) {
+    flushOutput();
+    // A decode pass that stopped at a bound left whole commands in
+    // the parser that no EPOLLIN will announce again.  Once the flush
+    // (or a completion) lifts the bound, decode them and flush again:
+    // each extra send carries a bound's worth of replies, so the
+    // watermark still caps the buffer without costing a send per
+    // reply.
+    while (!closed_ && heldBack_ && !stalled()) {
         processBuffered();
-        if (closed_)
-            return;
-        flushOutput();
-        if (closed_)
-            return;
+        if (!closed_)
+            flushOutput();
     }
+    if (closed_)
+        return;
     updateInterest();
     maybeClose();
 }
@@ -425,6 +436,7 @@ Connection::flushOutput()
             shortWrite = true;
         }
         ++writeSeq_;
+        SyscallCounters::bump(ctx_.loop.syscalls().sendCalls);
         const ssize_t n =
             ::send(fd_, outBuf_.data() + outPos_, len, MSG_NOSIGNAL);
         if (n > 0) {
@@ -471,32 +483,13 @@ Connection::updateInterest()
         want |= EPOLLOUT;
     if (want == interest_)
         return;
-    if (stalled && (interest_ & EPOLLIN) && !(want & EPOLLIN))
+    // A stall a decode pass already counted is not counted again.
+    if (stalled && (interest_ & EPOLLIN) && !(want & EPOLLIN) &&
+        !heldBack_)
         ctx_.stats.backpressureStalls.fetch_add(
             1, std::memory_order_relaxed);
     ctx_.loop.mod(fd_, want);
     interest_ = want;
-}
-
-void
-Connection::onWritable()
-{
-    flushOutput();
-    if (closed_)
-        return;
-    // Draining the write buffer may lift backpressure; bytes already
-    // buffered in the parser must then be re-examined even though no
-    // new EPOLLIN will fire for them.
-    if (!stalled() && parser_.buffered() > 0) {
-        processBuffered();
-        if (closed_)
-            return;
-        flushOutput();
-        if (closed_)
-            return;
-    }
-    updateInterest();
-    maybeClose();
 }
 
 void

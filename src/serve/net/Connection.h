@@ -10,7 +10,15 @@
  * later GET in the same pipeline hit in cache.  Each request
  * therefore claims the next slot at decode time; completions fill
  * their slot whenever they land; and only the contiguous ready
- * prefix is ever flushed to the socket.
+ * prefix is ever moved to the write buffer.
+ *
+ * The socket is written once per event-loop turn, not once per
+ * reply: nothing inside a decode pass calls send().  Every handler
+ * (readable, writable, a completion landing) only queues the
+ * connection's turn-end step with EventLoop::atTurnEnd(), which
+ * flushes the write buffer, resumes decoding if a lifted bound held
+ * commands back, and re-arms epoll interest.  A window of pipelined
+ * commands therefore costs one recv() and one send().
  *
  * Backpressure is two-sided and entirely local to the connection:
  *
@@ -19,7 +27,10 @@
  *    faster than the backend answers fills its socket buffer, not
  *    our memory.
  *  - writeWatermark buffered reply bytes -> same.  A client that
- *    never reads its replies is throttled the same way.
+ *    never reads its replies is throttled the same way.  Because
+ *    sends wait for the turn's end, the watermark also stops a
+ *    decode pass: one turn buffers at most a watermark's worth of
+ *    replies (plus one reply) before it sends.
  *
  * Threading: every method runs on the owning loop's thread.  Async
  * completions from other threads marshal themselves back via
@@ -103,6 +114,8 @@ struct WorkerStats
     std::atomic<std::uint64_t> protocolErrors{0};
     std::atomic<std::uint64_t> bytesIn{0};
     std::atomic<std::uint64_t> bytesOut{0};
+    /** Decode passes halted at a backpressure bound, plus read
+     *  pauses a bound imposed outside a decode pass. */
     std::atomic<std::uint64_t> backpressureStalls{0};
     /** Data commands answered -BUSY by admission control. */
     std::atomic<std::uint64_t> shedOps{0};
@@ -185,14 +198,13 @@ class Connection : public std::enable_shared_from_this<Connection>
 
     void onEvents(std::uint32_t events);
     void onReadable();
-    void onWritable();
 
     /** Either backpressure bound tripped: stop decoding/reading. */
     bool stalled() const;
 
     /** Decode + execute commands already fed to the parser, until it
      *  runs dry, the connection stalls, or a protocol error latches.
-     *  Reentrancy-safe (synchronous replies land mid-loop). */
+     *  Never sends: replies only reach the write buffer. */
     void processBuffered();
 
     void execute(RespCommand &&cmd);
@@ -202,12 +214,18 @@ class Connection : public std::enable_shared_from_this<Connection>
 
     /** Claim the next in-order reply slot; returns its id. */
     std::uint64_t allocSlot();
-    /** Deliver @p reply into @p slot; flushes the ready prefix. */
+    /** Deliver @p reply into @p slot; moves the ready prefix to the
+     *  write buffer and queues the turn-end flush. */
     void fillSlot(std::uint64_t slot, std::string reply);
     /** Shorthand: alloc + fill for synchronously answered verbs. */
     void reply(std::string text);
 
     void flushReady();
+    /** Queue onTurnEnd() for this loop turn (once per turn). */
+    void queueTurnEnd();
+    /** The turn's one write: flush, resume held-back decoding,
+     *  update interest, close if finished. */
+    void onTurnEnd();
     void flushOutput();
     void updateInterest();
     void maybeClose();
@@ -235,7 +253,10 @@ class Connection : public std::enable_shared_from_this<Connection>
     bool peerClosed_ = false;     ///< read side saw EOF
     bool closeAfterReply_ = false;
     bool closed_ = false;
-    bool processing_ = false;     ///< inside processBuffered()
+    bool turnEndQueued_ = false;  ///< onTurnEnd() queued this turn
+    /** The last decode pass stopped at a backpressure bound, so
+     *  whole commands may wait in the parser. */
+    bool heldBack_ = false;
 
     std::uint64_t lastActivityNs_ = 0;
     /** Monotonic time the current partial frame started; 0 = no

@@ -61,6 +61,7 @@ EventLoop::add(int fd, std::uint32_t events, FdHandler handler)
     epoll_event ev{};
     ev.events = events;
     ev.data.fd = fd;
+    SyscallCounters::bump(syscalls_.epollCtls);
     if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) < 0)
         throw NetError("epoll_ctl(ADD) failed: " + errnoText(errno));
     handlers_[fd] =
@@ -73,6 +74,7 @@ EventLoop::mod(int fd, std::uint32_t events)
     epoll_event ev{};
     ev.events = events;
     ev.data.fd = fd;
+    SyscallCounters::bump(syscalls_.epollCtls);
     if (::epoll_ctl(epollFd_, EPOLL_CTL_MOD, fd, &ev) < 0)
         throw NetError("epoll_ctl(MOD) failed: " + errnoText(errno));
 }
@@ -80,6 +82,7 @@ EventLoop::mod(int fd, std::uint32_t events)
 void
 EventLoop::del(int fd)
 {
+    SyscallCounters::bump(syscalls_.epollCtls);
     ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
     handlers_.erase(fd);
 }
@@ -91,13 +94,24 @@ EventLoop::post(std::function<void()> fn)
         std::lock_guard<std::mutex> lock(postMutex_);
         posted_.push_back(std::move(fn));
     }
-    wake();
+    // Only the first post after a drain pays for the eventfd write;
+    // drainPosted() clears the flag before it takes the batch, so a
+    // post that misses the batch always sees it clear and wakes.
+    if (!wakePending_.exchange(true))
+        wake();
+}
+
+void
+EventLoop::atTurnEnd(std::function<void()> fn)
+{
+    turnEnd_.push_back(std::move(fn));
 }
 
 void
 EventLoop::wake()
 {
     const std::uint64_t one = 1;
+    SyscallCounters::bump(syscalls_.wakeWrites);
     // A full eventfd counter still wakes the loop; ignore EAGAIN.
     [[maybe_unused]] const ssize_t n =
         ::write(wakeFd_, &one, sizeof(one));
@@ -107,12 +121,25 @@ void
 EventLoop::drainPosted()
 {
     std::vector<std::function<void()>> batch;
+    wakePending_.store(false);
     {
         std::lock_guard<std::mutex> lock(postMutex_);
         batch.swap(posted_);
     }
     for (auto &fn : batch)
         fn();
+}
+
+void
+EventLoop::runTurnEnd()
+{
+    // Closures may queue more (a resumed decode completing another
+    // connection's waiter); index so those run in this pass too.
+    for (std::size_t i = 0; i < turnEnd_.size(); ++i) {
+        const std::function<void()> fn = std::move(turnEnd_[i]);
+        fn();
+    }
+    turnEnd_.clear();
 }
 
 bool
@@ -233,6 +260,7 @@ EventLoop::run()
                       std::memory_order_release);
     std::array<epoll_event, 64> events;
     while (!stop_.load(std::memory_order_acquire)) {
+        SyscallCounters::bump(syscalls_.epollWaits);
         const int n =
             ::epoll_wait(epollFd_, events.data(),
                          static_cast<int>(events.size()),
@@ -253,10 +281,12 @@ EventLoop::run()
         }
         fireDueTimers(monotonicNs());
         drainPosted();
+        runTurnEnd();
     }
     // Final drain so a completion posted concurrently with stop()
     // is not silently dropped (its connection may own resources).
     drainPosted();
+    runTurnEnd();
     loopThread_.store(std::thread::id(), std::memory_order_release);
 }
 

@@ -18,6 +18,14 @@
  * that fd are still queued in the same epoll_wait batch: the lookup
  * simply misses and the stale event is dropped.
  *
+ * Work that should happen once per loop turn rather than once per
+ * event -- a connection writing every reply it produced this turn
+ * with one send() -- is queued with atTurnEnd() and runs after the
+ * turn's events, timers and posted closures.
+ *
+ * The loop counts the syscalls it issues (and those its connections
+ * issue on its behalf) in relaxed atomics, readable from any thread.
+ *
  * The loop also owns a hashed timer wheel (addTimer/cancelTimer,
  * loop-thread-only like add/mod/del): coarse 10ms ticks over 128
  * slots, which is plenty for connection idle/read deadlines and
@@ -42,6 +50,25 @@
 
 namespace csr::serve::net
 {
+
+/** Syscalls issued by one loop thread, bumped once per call (never
+ *  once per op).  Relaxed atomics: INFO on another worker reads them
+ *  live. */
+struct SyscallCounters
+{
+    std::atomic<std::uint64_t> recvCalls{0};
+    std::atomic<std::uint64_t> sendCalls{0};
+    std::atomic<std::uint64_t> epollWaits{0};
+    std::atomic<std::uint64_t> epollCtls{0};
+    /** eventfd writes by post()/stop() (coalesced: one per batch). */
+    std::atomic<std::uint64_t> wakeWrites{0};
+
+    static void
+    bump(std::atomic<std::uint64_t> &counter)
+    {
+        counter.fetch_add(1, std::memory_order_relaxed);
+    }
+};
 
 class EventLoop
 {
@@ -69,8 +96,16 @@ class EventLoop
     /** Run @p fn on the loop thread at the next iteration.  Safe
      *  from any thread, including the loop thread itself (the
      *  closure still runs later, never reentrantly).  Closures
-     *  posted after stop() run during the loop's final drain. */
+     *  posted after stop() run during the loop's final drain.  The
+     *  eventfd is written only when no wake is already pending, so
+     *  a burst of posts costs one write. */
     void post(std::function<void()> fn);
+
+    /** Run @p fn on the loop thread at the end of the current turn,
+     *  after every handler, due timer and posted closure of that
+     *  turn.  Loop thread only.  A closure may queue more; they run
+     *  in the same turn. */
+    void atTurnEnd(std::function<void()> fn);
 
     /** Dispatch until stop().  Call from the owning thread. */
     void run();
@@ -98,6 +133,10 @@ class EventLoop
     /** Armed, not-yet-fired timer count (loop thread only; tests). */
     std::size_t pendingTimers() const { return timerCount_; }
 
+    /** This loop's syscall counters (any thread may read them). */
+    SyscallCounters &syscalls() { return syscalls_; }
+    const SyscallCounters &syscalls() const { return syscalls_; }
+
   private:
     struct TimerEntry
     {
@@ -111,16 +150,22 @@ class EventLoop
 
     void wake();
     void drainPosted();
+    void runTurnEnd();
     void fireDueTimers(std::uint64_t now_ns);
     int epollTimeoutMs(std::uint64_t now_ns) const;
 
     int epollFd_ = -1;
     int wakeFd_ = -1;
     std::atomic<bool> stop_{false};
+    /** Set by post() when it writes the eventfd, cleared by
+     *  drainPosted() before it takes the batch. */
+    std::atomic<bool> wakePending_{false};
     std::atomic<std::thread::id> loopThread_{};
     std::mutex postMutex_;
     std::vector<std::function<void()>> posted_;
     std::unordered_map<int, std::shared_ptr<FdHandler>> handlers_;
+    std::vector<std::function<void()>> turnEnd_; ///< loop thread only
+    SyscallCounters syscalls_;
 
     // Timer wheel state: loop-thread-only, no locks.
     std::array<std::vector<TimerEntry>, kWheelSlots> wheel_;

@@ -214,6 +214,7 @@ NetServer::onAcceptable(Worker &worker)
             // empty, so the short send virtually always lands whole.
             static const char kAtCapacity[] =
                 "-ERR server at capacity\r\n";
+            SyscallCounters::bump(worker.loop.syscalls().sendCalls);
             (void)::send(fd, kAtCapacity, sizeof(kAtCapacity) - 1,
                          MSG_NOSIGNAL);
             ::close(fd);
@@ -427,6 +428,14 @@ NetServer::stats() const
             s.chaosDeferredAccepts.load(std::memory_order_relaxed);
         total.chaosResets +=
             s.chaosResets.load(std::memory_order_relaxed);
+        const SyscallCounters &sys = worker->loop.syscalls();
+        total.recvCalls += sys.recvCalls.load(std::memory_order_relaxed);
+        total.sendCalls += sys.sendCalls.load(std::memory_order_relaxed);
+        total.epollWaits +=
+            sys.epollWaits.load(std::memory_order_relaxed);
+        total.epollCtls += sys.epollCtls.load(std::memory_order_relaxed);
+        total.wakeWrites +=
+            sys.wakeWrites.load(std::memory_order_relaxed);
         if (!running_.load(std::memory_order_acquire))
             total.wireLatencyNs.merge(s.wireLatencyNs);
     }
@@ -439,7 +448,7 @@ NetServer::infoText() const
     const ServeTotals t = service_.totals();
     const NetStats n = stats();
     std::string out;
-    out.reserve(768);
+    out.reserve(1024);
     out += "# serve\n";
     out += "policy:" + service_.policyName() + "\n";
     line(out, "shards", service_.numShards());
@@ -489,6 +498,11 @@ NetServer::infoText() const
     line(out, "chaosShortWrites", n.chaosShortWrites);
     line(out, "chaosDeferredAccepts", n.chaosDeferredAccepts);
     line(out, "chaosResets", n.chaosResets);
+    line(out, "recvCalls", n.recvCalls);
+    line(out, "sendCalls", n.sendCalls);
+    line(out, "epollWaits", n.epollWaits);
+    line(out, "epollCtls", n.epollCtls);
+    line(out, "wakeWrites", n.wakeWrites);
     return out;
 }
 
@@ -521,6 +535,11 @@ NetServer::exportMetrics(MetricRegistry &registry) const
     registry.setCounter("net.chaos.deferred_accepts",
                         n.chaosDeferredAccepts);
     registry.setCounter("net.chaos.resets", n.chaosResets);
+    registry.setCounter("net.syscalls.recv", n.recvCalls);
+    registry.setCounter("net.syscalls.send", n.sendCalls);
+    registry.setCounter("net.syscalls.epoll_wait", n.epollWaits);
+    registry.setCounter("net.syscalls.epoll_ctl", n.epollCtls);
+    registry.setCounter("net.syscalls.wake_write", n.wakeWrites);
     registry.setCounter("net.drain.drained_conns",
                         lastDrain_.drainedConns);
     registry.setCounter("net.drain.forced_closes",

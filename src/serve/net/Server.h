@@ -99,6 +99,12 @@ struct NetStats
     std::uint64_t chaosShortWrites = 0;
     std::uint64_t chaosDeferredAccepts = 0;
     std::uint64_t chaosResets = 0;
+    /** Syscalls the workers issued (SyscallCounters, summed). */
+    std::uint64_t recvCalls = 0;
+    std::uint64_t sendCalls = 0;
+    std::uint64_t epollWaits = 0;
+    std::uint64_t epollCtls = 0;
+    std::uint64_t wakeWrites = 0;
     /** Complete only after stop() (loop-thread-local until then). */
     Histogram wireLatencyNs{0.0, 1.0e7, 512};
 };

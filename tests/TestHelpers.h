@@ -7,13 +7,20 @@
  * easy to script and assert.  All accesses go through the CacheModel's
  * shared protocol (the same one TraceSimulator and the NUMA
  * CacheController use).
+ *
+ * uniqueTempPath() names scratch files so that test processes running
+ * in parallel never share one.
  */
 
 #ifndef CSR_TESTS_TESTHELPERS_H
 #define CSR_TESTS_TESTHELPERS_H
 
 #include <set>
+#include <string>
+#include <unistd.h>
 #include <utility>
+
+#include <gtest/gtest.h>
 
 #include "cache/CacheModel.h"
 #include "cost/StaticCostModels.h"
@@ -111,6 +118,29 @@ inline Addr
 blk(std::uint64_t n)
 {
     return n * 64;
+}
+
+/**
+ * A scratch-file path under gtest's temp dir that no other test
+ * process shares: ctest runs every case in its own process, in
+ * parallel under -j, so the name carries the pid and the running
+ * test's name, plus a per-process counter for repeated calls, before
+ * @p name (which keeps the file's extension).
+ */
+inline std::string
+uniqueTempPath(const std::string &name)
+{
+    static unsigned counter = 0;
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string test =
+        info ? std::string(info->test_suite_name()) + "." + info->name()
+             : std::string("no_test");
+    for (char &c : test)
+        if (c == '/')
+            c = '_'; // parameterized suites and cases
+    return ::testing::TempDir() + "csr_" + std::to_string(::getpid()) +
+           "_" + test + "_" + std::to_string(counter++) + "_" + name;
 }
 
 } // namespace csr::test

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -287,6 +288,51 @@ TEST(NetEventLoop, PostedClosuresRunOnTheLoopThread)
     }
     EXPECT_TRUE(on_loop_thread.load());
     EXPECT_FALSE(loop.inLoopThread());
+    loop.stop();
+    runner.join();
+}
+
+TEST(NetEventLoop, BurstOfPostsCoalescesItsWakes)
+{
+    EventLoop loop;
+    std::thread runner([&loop] { loop.run(); });
+
+    // Park the loop inside a posted closure so the whole burst lands
+    // while a wake is pending: only the first post may write the
+    // eventfd.
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::atomic<bool> parked{false};
+    loop.post([&parked, gate] {
+        parked.store(true);
+        gate.wait();
+    });
+    while (!parked.load())
+        std::this_thread::yield();
+
+    constexpr int kPosts = 1000;
+    std::atomic<int> ran{0};
+    std::atomic<int> off_loop{0};
+    std::thread poster([&] {
+        for (int i = 0; i < kPosts; ++i)
+            loop.post([&] {
+                if (!loop.inLoopThread())
+                    off_loop.fetch_add(1);
+                ran.fetch_add(1);
+            });
+    });
+    poster.join();
+    release.set_value();
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (ran.load() < kPosts &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(ran.load(), kPosts);
+    EXPECT_EQ(off_loop.load(), 0);
+    EXPECT_LT(loop.syscalls().wakeWrites.load(),
+              static_cast<std::uint64_t>(kPosts));
     loop.stop();
     runner.join();
 }
@@ -573,14 +619,13 @@ TEST(NetServeLoopback, CommandsRoundTripAgainstARealServer)
 namespace
 {
 
-/** Write raw bytes to a fresh loopback socket and slurp everything
- *  the server says until it hangs up. */
-std::string
-rawExchange(std::uint16_t port, const std::string &bytes)
+/** A blocking loopback socket to @p port (-1 on failure). */
+int
+connectRaw(std::uint16_t port)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
-        return "";
+        return -1;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -588,16 +633,74 @@ rawExchange(std::uint16_t port, const std::string &bytes)
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         ::close(fd);
-        return "";
+        return -1;
     }
+    return fd;
+}
+
+bool
+sendAll(int fd, const std::string &bytes)
+{
     std::size_t sent = 0;
     while (sent < bytes.size()) {
         const ssize_t n = ::send(fd, bytes.data() + sent,
                                  bytes.size() - sent, MSG_NOSIGNAL);
         if (n <= 0)
-            break;
+            return false;
         sent += static_cast<std::size_t>(n);
     }
+    return true;
+}
+
+/** End of the complete reply starting at @p pos of @p buf, or npos.
+ *  Knows the reply types NetServer sends: + - : and $. */
+std::size_t
+replyEnd(const std::string &buf, std::size_t pos)
+{
+    const std::size_t eol = buf.find("\r\n", pos);
+    if (eol == std::string::npos)
+        return std::string::npos;
+    if (buf[pos] != '$')
+        return eol + 2;
+    const long long len = std::stoll(buf.substr(pos + 1, eol - pos - 1));
+    if (len < 0)
+        return eol + 2;
+    const std::size_t end = eol + 2 + static_cast<std::size_t>(len) + 2;
+    return end <= buf.size() ? end : std::string::npos;
+}
+
+/** Read exactly @p count raw replies off @p fd ("" on EOF/error). */
+std::string
+readReplies(int fd, std::size_t count)
+{
+    std::string buf;
+    std::size_t pos = 0;
+    char chunk[4096];
+    while (count > 0) {
+        const std::size_t end =
+            pos < buf.size() ? replyEnd(buf, pos) : std::string::npos;
+        if (end != std::string::npos) {
+            pos = end;
+            --count;
+            continue;
+        }
+        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (n <= 0)
+            return "";
+        buf.append(chunk, static_cast<std::size_t>(n));
+    }
+    return buf;
+}
+
+/** Write raw bytes to a fresh loopback socket and slurp everything
+ *  the server says until it hangs up. */
+std::string
+rawExchange(std::uint16_t port, const std::string &bytes)
+{
+    const int fd = connectRaw(port);
+    if (fd < 0)
+        return "";
+    sendAll(fd, bytes);
     std::string reply;
     char chunk[4096];
     while (true) {
@@ -610,7 +713,141 @@ rawExchange(std::uint16_t port, const std::string &bytes)
     return reply;
 }
 
+/** Append @p text as a RESP bulk string. */
+void
+appendBulk(std::string &out, const std::string &text)
+{
+    out += '$';
+    out += std::to_string(text.size());
+    out += "\r\n";
+    out += text;
+    out += "\r\n";
+}
+
+std::string
+encodeCommand(const std::vector<std::string> &argv)
+{
+    std::string out = "*";
+    out += std::to_string(argv.size());
+    out += "\r\n";
+    for (const std::string &arg : argv)
+        appendBulk(out, arg);
+    return out;
+}
+
 } // namespace
+
+TEST(NetServeLoopback, PipelinedBatchRepliesMatchOneAtATime)
+{
+    // 64 GET/SET/DEL commands over a handful of keys, so GETs hit
+    // SETs, DELs find keys both resident and gone.
+    std::vector<std::string> commands;
+    for (int i = 0; i < 64; ++i) {
+        const std::string key = std::to_string(100 + i % 7);
+        switch (i % 4) {
+          case 0:
+            commands.push_back(
+                encodeCommand({"SET", key, std::to_string(9000 + i)}));
+            break;
+          case 2:
+            commands.push_back(encodeCommand({"DEL", key}));
+            break;
+          default:
+            commands.push_back(encodeCommand({"GET", key}));
+        }
+    }
+
+    // Each pass gets a fresh service and server, so both see the
+    // same state sequence.
+    struct Pass
+    {
+        std::string replies;
+        std::uint64_t recvCalls = 0;
+        std::uint64_t sendCalls = 0;
+    };
+    const auto run = [&](bool batched) {
+        SyntheticBackendConfig backend_config;
+        backend_config.seed = 3;
+        SyntheticBackend backend(backend_config);
+        CacheService service(tinyServeConfig(), backend);
+        NetServer server(service, NetServerConfig{});
+        server.start();
+        Pass pass;
+        const int fd = connectRaw(server.port());
+        EXPECT_GE(fd, 0);
+        if (fd < 0)
+            return pass;
+        const NetStats before = server.stats();
+        if (batched) {
+            std::string all;
+            for (const std::string &c : commands)
+                all += c;
+            EXPECT_TRUE(sendAll(fd, all));
+            pass.replies = readReplies(fd, commands.size());
+        } else {
+            for (const std::string &c : commands) {
+                EXPECT_TRUE(sendAll(fd, c));
+                pass.replies += readReplies(fd, 1);
+            }
+        }
+        const NetStats after = server.stats();
+        pass.recvCalls = after.recvCalls - before.recvCalls;
+        pass.sendCalls = after.sendCalls - before.sendCalls;
+        ::close(fd);
+        server.stop();
+        return pass;
+    };
+
+    const Pass single = run(false);
+    const Pass batch = run(true);
+    ASSERT_FALSE(single.replies.empty());
+    EXPECT_EQ(batch.replies, single.replies);
+    // Every reply of a recv'd window leaves in the turn's one send.
+    EXPECT_GT(batch.sendCalls, 0u);
+    EXPECT_LE(batch.sendCalls, batch.recvCalls);
+    EXPECT_GE(single.sendCalls, commands.size());
+}
+
+TEST(NetServeLoopback, WriteWatermarkStillBoundsDeferredReplies)
+{
+    SyntheticBackendConfig backend_config;
+    backend_config.seed = 4;
+    SyntheticBackend backend(backend_config);
+    CacheService service(tinyServeConfig(), backend);
+    NetServerConfig net_config;
+    net_config.tuning.writeWatermark = 256;
+    NetServer server(service, net_config);
+    server.start();
+
+    // 2,000 GETs in before a single reply is read: the decode pass
+    // must halt at the watermark rather than buffer every reply for
+    // the turn's one send.
+    constexpr int kGets = 2000;
+    std::string all;
+    for (int i = 0; i < kGets; ++i)
+        all += encodeCommand({"GET", std::to_string(5000 + i)});
+    const int fd = connectRaw(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendAll(fd, all));
+    const std::string replies = readReplies(fd, kGets);
+    ::close(fd);
+
+    std::string expected;
+    for (int i = 0; i < kGets; ++i) {
+        appendBulk(expected, std::to_string(backend.valueOf(
+                                 static_cast<Addr>(5000 + i))));
+    }
+    EXPECT_EQ(replies, expected);
+
+    server.stop();
+    const NetStats stats = server.stats();
+    EXPECT_GT(stats.backpressureStalls, 0u);
+    EXPECT_EQ(stats.cmdGet, static_cast<std::uint64_t>(kGets));
+    // No send carried more than the watermark plus one reply (each
+    // under 64 B here): the buffer stayed bounded.
+    EXPECT_GE(stats.sendCalls * (net_config.tuning.writeWatermark + 64),
+              stats.bytesOut);
+}
 
 TEST(NetServeLoopback, ProtocolErrorGetsAReplyThenTheBoot)
 {
@@ -637,6 +874,26 @@ TEST(NetServeLoopback, ProtocolErrorGetsAReplyThenTheBoot)
     const NetStats stats = server.stats();
     EXPECT_EQ(stats.protocolErrors, 1u);
 }
+
+namespace
+{
+
+/** The deterministic ServeTotals fields agree number for number. */
+void
+expectSameTotals(const ServeTotals &a, const ServeTotals &b)
+{
+    EXPECT_EQ(a.gets, b.gets);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.storeHits, b.storeHits);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.trackedKeys, b.trackedKeys);
+    EXPECT_EQ(a.missCostNs, b.missCostNs);
+    EXPECT_EQ(a.storeCostNs, b.storeCostNs);
+}
+
+} // namespace
 
 TEST(NetClientLoadTest, WireRunMatchesInProcessTotalsExactly)
 {
@@ -678,18 +935,51 @@ TEST(NetClientLoadTest, WireRunMatchesInProcessTotalsExactly)
     harness.workers = 1;
     const HarnessResult local = runLoad(service2, harness);
 
-    EXPECT_EQ(wire.harness.totals.gets, local.totals.gets);
-    EXPECT_EQ(wire.harness.totals.hits, local.totals.hits);
-    EXPECT_EQ(wire.harness.totals.misses, local.totals.misses);
-    EXPECT_EQ(wire.harness.totals.stores, local.totals.stores);
-    EXPECT_EQ(wire.harness.totals.storeHits, local.totals.storeHits);
-    EXPECT_EQ(wire.harness.totals.evictions, local.totals.evictions);
-    EXPECT_EQ(wire.harness.totals.trackedKeys,
-              local.totals.trackedKeys);
-    EXPECT_EQ(wire.harness.totals.missCostNs,
-              local.totals.missCostNs);
-    EXPECT_EQ(wire.harness.totals.storeCostNs,
-              local.totals.storeCostNs);
+    expectSameTotals(wire.harness.totals, local.totals);
+}
+
+TEST(NetClientLoadTest, PipelineDepthDoesNotChangeServerTotals)
+{
+    const ServeConfig serve_config = tinyServeConfig();
+    SyntheticBackendConfig backend_config;
+    backend_config.seed = 11;
+
+    struct Run
+    {
+        ServeTotals totals;
+        NetStats net;
+    };
+    const auto run = [&](std::size_t pipeline) {
+        SyntheticBackend backend(backend_config);
+        CacheService service(serve_config, backend);
+        NetServer server(service, NetServerConfig{});
+        server.start();
+        ClientConfig client_config;
+        client_config.port = server.port();
+        client_config.connections = 2;
+        client_config.pipeline = pipeline;
+        client_config.serverShards = serve_config.shards;
+        client_config.harness.ops = 6000;
+        client_config.harness.seed = 11;
+        client_config.harness.mix.numKeys = 2048;
+        const ClientResult wire = runClientLoad(client_config);
+        server.stop();
+        EXPECT_EQ(wire.errorReplies, 0u);
+        EXPECT_EQ(wire.typeMismatches, 0u);
+        EXPECT_TRUE(wire.consistentWithServer());
+        return Run{service.totals(), server.stats()};
+    };
+
+    const Run one = run(1);
+    const Run deep = run(64);
+    expectSameTotals(deep.totals, one.totals);
+
+    // One send per window, not per reply: a pipeline-64 window costs
+    // the server about 1/64 of a send per data command.
+    const double data_cmds = static_cast<double>(
+        deep.net.cmdGet + deep.net.cmdSet + deep.net.cmdDel);
+    EXPECT_LE(static_cast<double>(deep.net.sendCalls), 0.15 * data_cmds);
+    EXPECT_LE(one.net.sendCalls, one.net.recvCalls);
 }
 
 TEST(NetClientLoadTest, ShardPartitionMatchesTheService)

@@ -31,19 +31,19 @@
 #include "util/CliArgs.h"
 #include "util/Random.h"
 
+#include "TestHelpers.h"
+
 using namespace csr;
 using namespace csr::replay;
 
 namespace
 {
 
-/** Fresh path under the gtest temp dir (unique per call). */
+/** Fresh .csrt path, unique per call and per test process. */
 std::string
 tempPath(const std::string &stem)
 {
-    static int counter = 0;
-    return testing::TempDir() + "csr_replay_" + stem + "_" +
-           std::to_string(counter++) + ".csrt";
+    return csr::test::uniqueTempPath(stem + ".csrt");
 }
 
 /** n records exercising all ops, irregular timestamps, and value

@@ -29,6 +29,8 @@
 #include "trace/TraceIO.h"
 #include "trace/WorkloadFactory.h"
 
+#include "TestHelpers.h"
+
 namespace csr
 {
 namespace
@@ -39,7 +41,7 @@ class TempPath
 {
   public:
     explicit TempPath(const std::string &name)
-        : path_(std::string(::testing::TempDir()) + name)
+        : path_(csr::test::uniqueTempPath(name))
     {
         std::remove(path_.c_str());
     }

@@ -386,7 +386,11 @@ runServer(const CliArgs &args)
               << net_stats.cmdSet << " SET, " << net_stats.cmdDel
               << " DEL, " << net_stats.protocolErrors
               << " protocol errors, " << net_stats.bytesIn
-              << " B in, " << net_stats.bytesOut << " B out\n";
+              << " B in, " << net_stats.bytesOut << " B out; syscalls "
+              << net_stats.recvCalls << " recv, " << net_stats.sendCalls
+              << " send, " << net_stats.epollWaits << " epoll_wait, "
+              << net_stats.epollCtls << " epoll_ctl, "
+              << net_stats.wakeWrites << " wake\n";
     // Report first, fail second: the drain summary above is still
     // printed, but an expired deadline is a typed failure (exit 9).
     if (server.lastDrain().deadlineExpired)
