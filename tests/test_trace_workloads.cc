@@ -7,6 +7,7 @@
  * fractions: Barnes 44.8%, LU 19.1%, Ocean 7.4%, Raytrace 29.6%.
  */
 
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -161,11 +162,21 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SampledTraceTest,
 // Table 1 calibration: remote-access fractions under first touch
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the parameter's raw bytes, so every byte
+// is a member: implicit padding would put stack garbage into the name.
 struct RemoteTarget
 {
+    RemoteTarget(BenchmarkId benchmark, double fraction)
+        : id(benchmark), paperFraction(fraction)
+    {
+    }
+
     BenchmarkId id;
+    std::uint32_t zeroPad = 0;
     double paperFraction;
 };
+static_assert(sizeof(RemoteTarget) ==
+              sizeof(BenchmarkId) + sizeof(std::uint32_t) + sizeof(double));
 
 class RemoteFraction : public ::testing::TestWithParam<RemoteTarget>
 {
