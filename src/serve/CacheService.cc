@@ -50,6 +50,16 @@ breakerNowNs()
             .count());
 }
 
+/** A leader's admission through its shard's breaker.  A closed
+ *  breaker answers without its mutex, and then the clock is not read
+ *  at all. */
+CircuitBreaker::Admit
+admitFetch(CircuitBreaker &breaker)
+{
+    return breaker.closed() ? CircuitBreaker::Admit::Proceed
+                            : breaker.admit(breakerNowNs());
+}
+
 /** Did a backend fetch fail by *timing out* (vs erroring)?  Feeds
  *  the breaker's consecutive-timeout trip condition. */
 bool
@@ -263,8 +273,8 @@ CacheService::keySamples(Addr key) const
         *shards_[shardOf(key)]
              ->stripes[static_cast<unsigned>(key) & stripeMask_];
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    const auto it = stripe.keys.find(key);
-    return it == stripe.keys.end() ? 0 : it->second.samples;
+    const KeyState *state = stripe.keys.find(key);
+    return state ? state->samples() : 0;
 }
 
 /**
@@ -363,23 +373,22 @@ CacheService::lockedGet(Stripe &stripe, std::uint32_t set, Addr tag,
     CircuitBreaker &breaker = *shards_[shardOf(key)]->breaker;
     auto [flight, leader] = stripe.inflight.claim(key);
 
-    if (leader && breaker.admit(breakerNowNs()) ==
-                      CircuitBreaker::Admit::FailFast) {
+    if (leader && admitFetch(breaker) == CircuitBreaker::Admit::FailFast) {
         // The shard's breaker is open and this miss would have
         // started a fresh fetch: fail fast (the whole point -- no
         // thread parks on a backend that keeps failing).  A resident
         // cost estimate with a remembered value may be served stale
-        // instead.  The just-claimed flight has no subscribers yet
+        // instead.  Nobody can have joined the just-claimed key yet
         // (we still hold the stripe mutex), so erasing it is enough.
         stripe.inflight.erase(key);
         if (config_.breaker.staleWhileBroken) {
-            const auto it = stripe.keys.find(key);
-            if (it != stripe.keys.end() && it->second.hasValue) {
+            const KeyState *state = stripe.keys.find(key);
+            if (state && state->hasValue()) {
                 stripe.staleServes.fetch_add(
                     1, std::memory_order_relaxed);
                 ServeOpResult result;
                 result.hit = false;
-                result.value = it->second.lastValue;
+                result.value = state->lastValue;
                 return result;
             }
         }
@@ -424,8 +433,8 @@ CacheService::lockedGet(Stripe &stripe, std::uint32_t set, Addr tag,
 
     // Leader: read the fetch salt under the lock, fetch with the
     // stripe UNLOCKED (other keys keep being served), then re-acquire
-    // to install the block and publish to the waiters.
-    const std::uint64_t salt = stripe.keys[key].samples;
+    // to install the block and publish to the waiters, if any joined.
+    const std::uint64_t salt = stripe.keys[key].samples();
     lock.unlock();
     BackendResult fetched;
     try {
@@ -439,14 +448,16 @@ CacheService::lockedGet(Stripe &stripe, std::uint32_t set, Addr tag,
         const std::exception_ptr error = std::current_exception();
         breaker.onFailure(isTimeoutFailure(error), breakerNowNs());
         lock.lock();
-        stripe.inflight.erase(key);
+        const std::shared_ptr<InflightFetch> joined =
+            stripe.inflight.erase(key);
         lock.unlock();
-        failFetch(*flight, error);
+        if (joined)
+            failFetch(*joined, error);
         throw;
     }
-    breaker.onSuccess(breakerNowNs());
-    installFetched(stripe, set, tag, key, fetched);
-    completeFetch(*flight, fetched.value, fetched.latencyNs);
+    breaker.onSuccess();
+    if (const auto joined = installFetched(stripe, set, tag, key, fetched))
+        completeFetch(*joined, fetched.value, fetched.latencyNs);
 
     ServeOpResult result;
     result.hit = false;
@@ -461,8 +472,8 @@ CacheService::absorbLeaderSample(Stripe &stripe, std::uint32_t set,
 {
     std::lock_guard<std::mutex> lock(stripe.mutex);
     stripe.drainAccessLog();
-    Stripe::KeyState &state = stripe.keys[key];
-    stripe.observe(state, latency_ns, config_.ewmaAlpha);
+    KeyState &state = stripe.keys[key];
+    state.observe(latency_ns, config_.ewmaAlpha);
     stripe.missCostNs += latency_ns;
     const int resident = stripe.model.lookup(set, tag);
     if (resident != kInvalidWay) {
@@ -471,7 +482,7 @@ CacheService::absorbLeaderSample(Stripe &stripe, std::uint32_t set,
     }
 }
 
-void
+std::shared_ptr<InflightFetch>
 CacheService::installFetched(Stripe &stripe, std::uint32_t set,
                              Addr tag, Addr key,
                              const BackendResult &fetched)
@@ -479,10 +490,9 @@ CacheService::installFetched(Stripe &stripe, std::uint32_t set,
     stripe.backendFetches.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(stripe.mutex);
     stripe.drainAccessLog();
-    Stripe::KeyState &state = stripe.keys[key];
-    stripe.observe(state, fetched.latencyNs, config_.ewmaAlpha);
-    state.lastValue = fetched.value;
-    state.hasValue = true;
+    KeyState &state = stripe.keys[key];
+    state.observe(fetched.latencyNs, config_.ewmaAlpha);
+    state.remember(fetched.value);
     stripe.missCostNs += fetched.latencyNs;
 
     const int resident = stripe.model.lookup(set, tag);
@@ -501,7 +511,7 @@ CacheService::installFetched(Stripe &stripe, std::uint32_t set,
             });
         stripe.storeValue(set, filled, fetched.value);
     }
-    stripe.inflight.erase(key);
+    return stripe.inflight.erase(key);
 }
 
 void
@@ -548,23 +558,21 @@ CacheService::getAsync(Addr key, GetCallback done)
         stripe.misses.fetch_add(1, std::memory_order_relaxed);
         std::tie(flight, leader) = stripe.inflight.claim(key);
         if (leader) {
-            if (breaker.admit(breakerNowNs()) ==
-                CircuitBreaker::Admit::FailFast) {
+            if (admitFetch(breaker) == CircuitBreaker::Admit::FailFast) {
                 // Same fail-fast protocol as lockedGet: retire the
-                // subscriber-less flight under the mutex, then
-                // complete -- stale value or CircuitOpenError --
-                // without ever touching the backend.
+                // unjoined claim under the mutex, then complete --
+                // stale value or CircuitOpenError -- without ever
+                // touching the backend.
                 stripe.inflight.erase(key);
                 ServeOpResult stale;
                 bool haveStale = false;
                 if (config_.breaker.staleWhileBroken) {
-                    const auto it = stripe.keys.find(key);
-                    if (it != stripe.keys.end() &&
-                        it->second.hasValue) {
+                    const KeyState *state = stripe.keys.find(key);
+                    if (state && state->hasValue()) {
                         stripe.staleServes.fetch_add(
                             1, std::memory_order_relaxed);
                         stale.hit = false;
-                        stale.value = it->second.lastValue;
+                        stale.value = state->lastValue;
                         haveStale = true;
                     }
                 }
@@ -581,7 +589,7 @@ CacheService::getAsync(Addr key, GetCallback done)
                              " without a fetch")));
                 return;
             }
-            salt = stripe.keys[key].samples;
+            salt = stripe.keys[key].samples();
         } else {
             stripe.coalescedMisses.fetch_add(
                 1, std::memory_order_relaxed);
@@ -616,7 +624,7 @@ CacheService::getAsync(Addr key, GetCallback done)
     // wherever it completes.  The calling thread never blocks.
     backend_.fetchAsync(
         key, salt,
-        [this, &stripe, &breaker, set, tag, key, flight,
+        [this, &stripe, &breaker, set, tag, key,
          done = std::move(done)](const BackendResult &fetched,
                                  std::exception_ptr error) {
             if (error) {
@@ -625,17 +633,20 @@ CacheService::getAsync(Addr key, GetCallback done)
                 // publish the failure to every joiner.
                 breaker.onFailure(isTimeoutFailure(error),
                                   breakerNowNs());
+                std::shared_ptr<InflightFetch> joined;
                 {
                     std::lock_guard<std::mutex> lock(stripe.mutex);
-                    stripe.inflight.erase(key);
+                    joined = stripe.inflight.erase(key);
                 }
-                failFetch(*flight, error);
+                if (joined)
+                    failFetch(*joined, error);
                 done(ServeOpResult{}, error);
                 return;
             }
-            breaker.onSuccess(breakerNowNs());
-            installFetched(stripe, set, tag, key, fetched);
-            completeFetch(*flight, fetched.value, fetched.latencyNs);
+            breaker.onSuccess();
+            if (const auto joined =
+                    installFetched(stripe, set, tag, key, fetched))
+                completeFetch(*joined, fetched.value, fetched.latencyNs);
             ServeOpResult result;
             result.hit = false;
             result.value = fetched.value;
@@ -678,17 +689,16 @@ CacheService::put(Addr key, std::uint64_t value)
     stripe.drainAccessLog();
     stripe.stores.fetch_add(1, std::memory_order_relaxed);
 
-    Stripe::KeyState &state = stripe.keys[key];
+    KeyState &state = stripe.keys[key];
     BackendResult stored;
     {
         CSR_TRACE_SPAN("serve", "backend.store");
-        stored = backend_.store(key, value, state.samples);
+        stored = backend_.store(key, value, state.samples());
     }
     // A write-through round trip is a fresh observation of this key's
     // backend latency, so it refreshes the cost estimate too.
-    stripe.observe(state, stored.latencyNs, config_.ewmaAlpha);
-    state.lastValue = value;
-    state.hasValue = true;
+    state.observe(stored.latencyNs, config_.ewmaAlpha);
+    state.remember(value);
     stripe.storeCostNs += stored.latencyNs;
 
     ServeOpResult result;
@@ -836,10 +846,9 @@ CacheService::exportMetrics(MetricRegistry &registry) const
         for (const auto &stripe_ptr : shard_ptr->stripes) {
             Stripe &stripe = *stripe_ptr;
             std::lock_guard<std::mutex> lock(stripe.mutex);
-            for (const auto &[key, state] : stripe.keys) {
-                (void)key;
+            stripe.keys.forEach([&ewma](Addr, const KeyState &state) {
                 ewma.add(state.ewmaNs);
-            }
+            });
         }
     }
     registry.mergeStat("serve.key_ewma_ns", ewma);
@@ -876,7 +885,7 @@ CacheService::checkInvariants() const
                         (((tag << geom.setBits()) | set)
                          << stripe.stripeBits) |
                         t;
-                    if (stripe.keys.find(key) == stripe.keys.end())
+                    if (!stripe.keys.find(key))
                         throw InvariantError(
                             "serve shard " + std::to_string(s) +
                             " stripe " + std::to_string(t) +

@@ -66,6 +66,7 @@ class MetricRegistry;
 namespace csr::serve
 {
 
+struct InflightFetch;
 struct Shard;
 struct Stripe;
 
@@ -341,9 +342,11 @@ class CacheService
 
     /** Leader side: install a successful fetch -- observe the
      *  latency, fill or cost-refresh the line, retire the flight
-     *  (takes the stripe mutex). */
-    void installFetched(Stripe &stripe, std::uint32_t set, Addr tag,
-                        Addr key, const BackendResult &fetched);
+     *  (takes the stripe mutex).  @return the flight to publish to,
+     *  or null when no other requester joined. */
+    std::shared_ptr<InflightFetch>
+    installFetched(Stripe &stripe, std::uint32_t set, Addr tag, Addr key,
+                   const BackendResult &fetched);
 
     ServeConfig config_;
     Backend &backend_;

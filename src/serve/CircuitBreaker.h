@@ -29,12 +29,20 @@
  * workload back off identically.  The breaker carries its own mutex:
  * one instance is shared by every stripe of a shard, and admit() is
  * only reached on the miss path, so the lock is far off the hit path.
+ *
+ * A closed breaker -- the steady state -- admits without the mutex:
+ * the state also lives in an atomic word, written under the mutex and
+ * read by admit() before it locks.  A miss that reads Closed just as
+ * another thread trips the breaker proceeds, exactly as if it had
+ * been admitted a moment before the trip.  Callers may skip reading
+ * the clock altogether while closed() holds (CacheService does).
  */
 
 #ifndef CSR_SERVE_CIRCUITBREAKER_H
 #define CSR_SERVE_CIRCUITBREAKER_H
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -136,15 +144,23 @@ class CircuitBreaker
         window_.reserve(config_.windowOps);
     }
 
+    /** Would admit() proceed without a look at the clock?  True while
+     *  the circuit is closed (or the breaker disabled); lock-free. */
+    bool closed() const
+    {
+        return !config_.enabled ||
+               state_.load(std::memory_order_acquire) == State::Closed;
+    }
+
     /** May this miss start a backend fetch at @p now_ns?  A Probe
      *  verdict claims the half-open slot; the caller must report the
      *  probe's outcome via onSuccess/onFailure. */
     Admit admit(std::uint64_t now_ns)
     {
-        if (!config_.enabled)
+        if (closed())
             return Admit::Proceed;
         std::lock_guard<std::mutex> lock(mutex_);
-        switch (state_) {
+        switch (state_.load(std::memory_order_relaxed)) {
         case State::Closed:
             return Admit::Proceed;
         case State::Open:
@@ -152,7 +168,7 @@ class CircuitBreaker
                 ++fastFails_;
                 return Admit::FailFast;
             }
-            state_ = State::HalfOpen;
+            state_.store(State::HalfOpen, std::memory_order_release);
             probeInFlight_ = true;
             return Admit::Probe;
         case State::HalfOpen:
@@ -166,16 +182,17 @@ class CircuitBreaker
         return Admit::Proceed; // unreachable
     }
 
-    void onSuccess(std::uint64_t now_ns)
+    /** A fetch succeeded.  Takes no time: only a failure can move
+     *  the breaker's deadline. */
+    void onSuccess()
     {
-        (void)now_ns;
         if (!config_.enabled)
             return;
         std::lock_guard<std::mutex> lock(mutex_);
         consecutiveTimeouts_ = 0;
-        if (state_ == State::HalfOpen) {
+        if (state_.load(std::memory_order_relaxed) == State::HalfOpen) {
             // Probe succeeded: close and forget the whole episode.
-            state_ = State::Closed;
+            state_.store(State::Closed, std::memory_order_release);
             probeInFlight_ = false;
             trips_ = 0;
             window_.clear();
@@ -192,13 +209,14 @@ class CircuitBreaker
         std::lock_guard<std::mutex> lock(mutex_);
         consecutiveTimeouts_ =
             timeout ? consecutiveTimeouts_ + 1 : 0;
-        if (state_ == State::HalfOpen) {
+        const State state = state_.load(std::memory_order_relaxed);
+        if (state == State::HalfOpen) {
             // Probe failed: next backoff step.
             probeInFlight_ = false;
             trip(now_ns);
             return;
         }
-        if (state_ != State::Closed)
+        if (state != State::Closed)
             return; // late completion from before the trip
         recordOutcome(true);
         if (consecutiveTimeouts_ >= config_.consecutiveTimeouts ||
@@ -206,11 +224,7 @@ class CircuitBreaker
             trip(now_ns);
     }
 
-    State state() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return state_;
-    }
+    State state() const { return state_.load(std::memory_order_acquire); }
 
     /** Closed -> Open transitions (including half-open reopens). */
     std::uint64_t opens() const
@@ -250,7 +264,7 @@ class CircuitBreaker
   private:
     void trip(std::uint64_t now_ns)
     {
-        state_ = State::Open;
+        state_.store(State::Open, std::memory_order_release);
         ++trips_;
         ++opens_;
         openUntilNs_ = now_ns + backoffNs(trips_);
@@ -283,7 +297,8 @@ class CircuitBreaker
     const unsigned id_;
 
     mutable std::mutex mutex_;
-    State state_ = State::Closed;
+    /** Written only under mutex_; read lock-free by closed(). */
+    std::atomic<State> state_{State::Closed};
     bool probeInFlight_ = false;
     unsigned trips_ = 0;
     unsigned consecutiveTimeouts_ = 0;

@@ -4,11 +4,12 @@
  * no matter how many threads miss on it concurrently.
  *
  * The first thread to miss on a key becomes the *leader*: it claims
- * an InflightFetch entry under the stripe mutex, releases the mutex,
+ * the key in the table under the stripe mutex, releases the mutex,
  * performs the backend fetch, then re-acquires the mutex to install
  * the block and publish the result.  Threads that miss on the same
- * key while the fetch is in flight become *waiters*: they park on the
- * entry's condition variable (off the stripe mutex, so the stripe keeps
+ * key while the fetch is in flight become *waiters*: the first of
+ * them attaches an InflightFetch to the entry, and all of them park
+ * on its condition variable (off the stripe mutex, so the stripe keeps
  * serving other keys) and, once woken, fold the leader's measured
  * latency into their own EWMA observation of the key -- the paper's
  * cost signal sees one sample per requester, exactly as if each had
@@ -39,7 +40,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -161,54 +161,90 @@ subscribeFetch(InflightFetch &fetch, std::function<void()> fn)
 }
 
 /**
- * The per-stripe table of in-flight fetches.  All methods must be
- * called with the stripe mutex held; the entries themselves outlive
- * erase() through shared ownership, so waiters that joined before
- * the leader finished still see the published result.
+ * The per-stripe table of in-flight fetches: a short vector of
+ * (key, flight) entries, scanned linearly.  Each entry is one key
+ * whose leader is fetching, and a stripe has at most one per thread
+ * (or pending async fetch) that reached it, so the vector stays a
+ * few entries long and, once grown, allocates nothing more.
+ *
+ * The InflightFetch a waiter parks on is made by the first *joiner*,
+ * not by the leader: a miss that nobody joins -- nearly all of them
+ * -- records only its key.  The leader gets the flight back from
+ * erase() and publishes to it only when someone joined.
+ *
+ * All methods must be called with the stripe mutex held; the flights
+ * themselves outlive erase() through shared ownership, so waiters
+ * that joined before the leader finished still see the result.
  */
 class InflightTable
 {
   public:
     /** Join @p key's in-flight fetch, or claim leadership of a new
-     *  one.  Second element is true for the leader. */
+     *  one.  Second element is true for the leader, whose first
+     *  element is null; a joiner gets the flight to wait on, made
+     *  here if it is the first to join. */
     std::pair<std::shared_ptr<InflightFetch>, bool>
     claim(Addr key)
     {
-        auto [it, inserted] = map_.try_emplace(key);
-        if (inserted)
-            it->second = std::make_shared<InflightFetch>();
-        return {it->second, inserted};
+        for (Entry &entry : entries_) {
+            if (entry.key != key)
+                continue;
+            if (!entry.flight)
+                entry.flight = std::make_shared<InflightFetch>();
+            return {entry.flight, false};
+        }
+        entries_.push_back({key, nullptr});
+        return {nullptr, true};
     }
 
-    /** Leader-only: retire the entry once the block is installed. */
-    void
+    /** Leader-only: retire @p key's entry once the fetch is over.
+     *  @return the flight its joiners wait on, or null when nobody
+     *  joined (or takeAll() already failed it): nothing to publish. */
+    std::shared_ptr<InflightFetch>
     erase(Addr key)
     {
-        map_.erase(key);
+        for (Entry &entry : entries_) {
+            if (entry.key != key)
+                continue;
+            std::shared_ptr<InflightFetch> flight = std::move(entry.flight);
+            std::swap(entry, entries_.back());
+            entries_.pop_back();
+            return flight;
+        }
+        return nullptr;
     }
 
     /**
-     * Drain-path: remove and return every entry at once.  The caller
-     * (holding the stripe mutex) then failFetch()es each one with the
-     * mutex released, unparking all waiters -- how a draining server
-     * guarantees no connection stays parked on a flight whose leader
-     * will never complete.
+     * Drain-path: remove every entry at once and return one flight
+     * per in-flight key, making one for a key nobody joined.  The
+     * caller (holding the stripe mutex) then failFetch()es each one
+     * with the mutex released, unparking all waiters -- how a
+     * draining server guarantees no connection stays parked on a
+     * flight whose leader will never complete.
      */
     std::vector<std::shared_ptr<InflightFetch>>
     takeAll()
     {
         std::vector<std::shared_ptr<InflightFetch>> flights;
-        flights.reserve(map_.size());
-        for (auto &[key, flight] : map_)
-            flights.push_back(std::move(flight));
-        map_.clear();
+        flights.reserve(entries_.size());
+        for (Entry &entry : entries_)
+            flights.push_back(entry.flight
+                                  ? std::move(entry.flight)
+                                  : std::make_shared<InflightFetch>());
+        entries_.clear();
         return flights;
     }
 
-    std::size_t size() const { return map_.size(); }
+    std::size_t size() const { return entries_.size(); }
 
   private:
-    std::unordered_map<Addr, std::shared_ptr<InflightFetch>> map_;
+    struct Entry
+    {
+        Addr key;
+        /** Null until a second requester joins. */
+        std::shared_ptr<InflightFetch> flight;
+    };
+    std::vector<Entry> entries_;
 };
 
 } // namespace csr::serve

@@ -166,6 +166,14 @@ HarnessResult::writeJsonObject(std::ostream &os,
     const std::string pad(static_cast<std::size_t>(indent), ' ');
     const std::string in = pad + "  ";
     const std::string in2 = in + "  ";
+    const bool timed = wallSec > 0.0;
+    const auto timedNum = [timed](double v) {
+        return timed ? numShort(v) : std::string("null");
+    };
+    const auto percentileNum = [](const Histogram &h, double frac) {
+        return h.totalCount() == 0 ? std::string("null")
+                                   : numShort(h.percentile(frac));
+    };
     os << "{\n"
        << in << "\"policy\": \"" << policy << "\",\n"
        << in << "\"workload\": \"" << workload << "\",\n"
@@ -201,16 +209,17 @@ HarnessResult::writeJsonObject(std::ostream &os,
        << in2 << "\"breakerFastFails\": " << totals.breakerFastFails << ",\n"
        << in2 << "\"staleServes\": " << totals.staleServes << "\n"
        << in << "},\n"
+       // Unmeasured quantities are null, the "n/a" of timingTable().
        << in << "\"timing\": {\n"
-       << in2 << "\"wallSec\": " << numShort(wallSec) << ",\n"
-       << in2 << "\"qps\": " << numShort(qps) << ",\n"
+       << in2 << "\"wallSec\": " << timedNum(wallSec) << ",\n"
+       << in2 << "\"qps\": " << timedNum(qps) << ",\n"
        << in2 << "\"opLatencyNs\": {\"p50\": "
-       << numShort(opLatencyNs.percentile(0.50))
-       << ", \"p90\": " << numShort(opLatencyNs.percentile(0.90))
-       << ", \"p99\": " << numShort(opLatencyNs.percentile(0.99)) << "},\n"
+       << percentileNum(opLatencyNs, 0.50)
+       << ", \"p90\": " << percentileNum(opLatencyNs, 0.90)
+       << ", \"p99\": " << percentileNum(opLatencyNs, 0.99) << "},\n"
        << in2 << "\"missLatencyNs\": {\"p50\": "
-       << numShort(missLatencyNs.percentile(0.50))
-       << ", \"p99\": " << numShort(missLatencyNs.percentile(0.99))
+       << percentileNum(missLatencyNs, 0.50)
+       << ", \"p99\": " << percentileNum(missLatencyNs, 0.99)
        << "}\n"
        << in << "}\n"
        << pad << "}";

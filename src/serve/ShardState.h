@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -48,6 +47,7 @@
 #include "serve/AccessLog.h"
 #include "serve/CircuitBreaker.h"
 #include "serve/InflightTable.h"
+#include "serve/KeyTable.h"
 #include "serve/Seqlock.h"
 #include "util/Atomics.h"
 
@@ -72,18 +72,6 @@ struct Stripe
           accessLog(access_log_capacity)
     {
     }
-
-    /** Per-key backend-latency estimate (the online cost model). */
-    struct KeyState
-    {
-        double ewmaNs = 0.0;
-        std::uint64_t samples = 0;
-        /** Last value installed for this key (fetch or store); kept
-         *  past eviction so --stale-while-broken can serve it while
-         *  the shard's circuit breaker is open. */
-        std::uint64_t lastValue = 0;
-        bool hasValue = false;
-    };
 
     std::size_t
     idx(std::uint32_t set, int way) const
@@ -123,17 +111,6 @@ struct Stripe
         return key >> (model.geometry().setBits() + stripeBits);
     }
 
-    /** Fold a measured latency into the key's EWMA. */
-    void
-    observe(KeyState &state, double latency_ns, double alpha)
-    {
-        state.ewmaNs = state.samples == 0
-                           ? latency_ns
-                           : alpha * latency_ns +
-                                 (1.0 - alpha) * state.ewmaNs;
-        ++state.samples;
-    }
-
     /**
      * Replay deferred optimistic hits into the policy, in log order.
      * Must hold `mutex`.  Runs before every locked op so that, at one
@@ -160,7 +137,8 @@ struct Stripe
     /** log2(stripes per shard); fixed at construction. */
     std::uint32_t stripeBits;
     std::vector<std::uint64_t> values;
-    std::unordered_map<Addr, KeyState> keys;
+    /** Per-key cost estimates (serve/KeyTable.h). */
+    KeyTable keys;
     AccessLog accessLog;
     InflightTable inflight;
 

@@ -99,7 +99,7 @@ TEST(NetRespParser, DecodesWellFormedAndRejectsMalformed)
          {{"GET", ""}},
          false},
         {"binary-safe bulk",
-         std::string("*2\r\n$3\r\nGET\r\n$4\r\na\r\nb\r\n", 26),
+         std::string("*2\r\n$3\r\nGET\r\n$4\r\na\r\nb\r\n", 23),
          {{"GET", std::string("a\r\nb", 4)}},
          false},
         {"inline command",

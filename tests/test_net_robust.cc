@@ -279,7 +279,7 @@ TEST(CircuitBreaker, RateTripOpensFastFailsAndProbeRecovers)
 
     // Probe success: closed, trip count reset -- the next trip
     // starts over at the initial backoff.
-    breaker.onSuccess(now);
+    breaker.onSuccess();
     EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
     EXPECT_EQ(breaker.admit(now), CircuitBreaker::Admit::Proceed);
     breaker.onFailure(false, now);
@@ -300,12 +300,98 @@ TEST(CircuitBreaker, ConsecutiveTimeoutsTripWithoutFillingTheWindow)
     breaker.onFailure(true, 1);
     breaker.onFailure(true, 1);
     // A non-timeout success in between resets the streak.
-    breaker.onSuccess(1);
+    breaker.onSuccess();
     breaker.onFailure(true, 1);
     breaker.onFailure(true, 1);
     EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
     breaker.onFailure(true, 1);
     EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
+}
+
+/**
+ * The closed breaker admits from an atomic state word without its
+ * mutex; open and half-open admit under the mutex.  Both must read
+ * one state machine: after every transition, admit() and closed()
+ * agree with state().
+ */
+TEST(CircuitBreaker, AdmitAgreesWithStateAfterEveryTransition)
+{
+    BreakerConfig cfg = twitchyBreaker();
+    cfg.backoffInitialMs = 10.0;
+    cfg.backoffMaxMs = 40.0;
+    CircuitBreaker breaker(cfg, 0);
+    std::uint64_t now = 1;
+    const std::uint64_t ms = 1'000'000;
+
+    // Called while no backoff has elapsed, so an open breaker must
+    // refuse rather than hand out a probe.
+    const auto expectAdmitAgrees = [&breaker](std::uint64_t at) {
+        if (breaker.state() == CircuitBreaker::State::Closed) {
+            EXPECT_TRUE(breaker.closed());
+            EXPECT_EQ(breaker.admit(at), CircuitBreaker::Admit::Proceed);
+        } else {
+            EXPECT_FALSE(breaker.closed());
+            EXPECT_EQ(breaker.admit(at), CircuitBreaker::Admit::FailFast);
+        }
+    };
+
+    expectAdmitAgrees(now);
+
+    // Closed -> open by rate.
+    breaker.onFailure(false, now);
+    breaker.onFailure(false, now);
+    ASSERT_EQ(breaker.state(), CircuitBreaker::State::Open);
+    expectAdmitAgrees(now);
+
+    // Open -> half-open: the probe's admission is the transition.
+    now += 11 * ms;
+    EXPECT_EQ(breaker.admit(now), CircuitBreaker::Admit::Probe);
+    ASSERT_EQ(breaker.state(), CircuitBreaker::State::HalfOpen);
+    expectAdmitAgrees(now);
+
+    // Half-open -> open: the probe failed.
+    breaker.onFailure(false, now);
+    ASSERT_EQ(breaker.state(), CircuitBreaker::State::Open);
+    expectAdmitAgrees(now);
+
+    // Half-open -> closed: the next probe succeeds.
+    now += 21 * ms;
+    EXPECT_EQ(breaker.admit(now), CircuitBreaker::Admit::Probe);
+    breaker.onSuccess();
+    ASSERT_EQ(breaker.state(), CircuitBreaker::State::Closed);
+    expectAdmitAgrees(now);
+}
+
+/**
+ * One thread trips the breaker while another spins on admit(): the
+ * spinner must see FailFast once the trip lands, and never Proceed
+ * after that.  Run under TSan, this is the race check of the
+ * lock-free closed path.
+ */
+TEST(CircuitBreaker, SpinningAdmitSeesATripFromAnotherThread)
+{
+    CircuitBreaker breaker(twitchyBreaker(), 0); // 60 s backoff
+    std::atomic<bool> spinning{false};
+    std::atomic<unsigned> admittedAfterTrip{0};
+
+    std::thread spinner([&] {
+        spinning.store(true);
+        while (breaker.admit(1) != CircuitBreaker::Admit::FailFast) {
+        }
+        for (int i = 0; i < 1000; ++i)
+            if (breaker.admit(1) != CircuitBreaker::Admit::FailFast)
+                admittedAfterTrip.fetch_add(1);
+    });
+    while (!spinning.load())
+        std::this_thread::yield();
+    breaker.onFailure(false, 1);
+    breaker.onFailure(false, 1);
+    spinner.join();
+
+    EXPECT_EQ(admittedAfterTrip.load(), 0u);
+    EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
+    EXPECT_FALSE(breaker.closed());
+    EXPECT_EQ(breaker.fastFails(), 1001u);
 }
 
 TEST(CircuitBreaker, BackoffDoublesCapsAndJittersDeterministically)

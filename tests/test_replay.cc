@@ -18,7 +18,6 @@
 
 #include "replay/Format.h"
 #include "replay/Ingest.h"
-#include "replay/ReplayStream.h"
 #include "replay/Replayer.h"
 #include "replay/SweepTrace.h"
 #include "replay/TraceReader.h"
@@ -93,17 +92,6 @@ flipByte(const std::string &path, std::uint64_t offset)
     byte = static_cast<char>(byte ^ 0x5A);
     f.seekp(static_cast<std::streamoff>(offset));
     f.write(&byte, 1);
-}
-
-void
-truncateTo(const std::string &path, std::uint64_t bytes)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> data(bytes);
-    in.read(data.data(), static_cast<std::streamsize>(bytes));
-    in.close();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(data.data(), static_cast<std::streamsize>(bytes));
 }
 
 /** Build a strict CliArgs from a flag list (argv[0] = program). */
@@ -620,32 +608,8 @@ TEST(Ingest, PresetFlagsValidateAndRejectUnknownNames)
 }
 
 // ---------------------------------------------------------------------------
-// ReplayStream + sweep bridge
+// Sweep bridge
 // ---------------------------------------------------------------------------
-
-TEST(ReplayStream, EmitsBlockAddressesAndSkipsDels)
-{
-    std::vector<ReplayRecord> records(4);
-    records[0] = {0, 10, TraceOp::Get, 8, 0};
-    records[1] = {1, 11, TraceOp::Set, 8, 0};
-    records[2] = {2, 10, TraceOp::Del, 0, 0};
-    records[3] = {3, 12, TraceOp::Get, 8, 0};
-    const std::string path = writeTrace(records, 2, "stream");
-
-    TraceReader reader(path);
-    ReplayStream stream(reader, 64);
-    MemAccess access;
-    ASSERT_TRUE(stream.next(access));
-    EXPECT_EQ(access.addr, 10u * 64);
-    EXPECT_FALSE(access.write);
-    ASSERT_TRUE(stream.next(access));
-    EXPECT_EQ(access.addr, 11u * 64);
-    EXPECT_TRUE(access.write);
-    ASSERT_TRUE(stream.next(access)); // the Del was skipped
-    EXPECT_EQ(access.addr, 12u * 64);
-    EXPECT_FALSE(stream.next(access));
-    std::remove(path.c_str());
-}
 
 TEST(SweepTrace, LoadsDeterministicallyAndNamesCells)
 {

@@ -8,21 +8,58 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <map>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "robust/Errors.h"
 #include "serve/CacheService.h"
 #include "serve/KeyGenerator.h"
+#include "serve/KeyTable.h"
 #include "serve/LoadHarness.h"
 #include "serve/SyntheticBackend.h"
 #include "telemetry/MetricRegistry.h"
 #include "telemetry/Telemetry.h"
+#include "util/Random.h"
 
 using namespace csr;
 using namespace csr::serve;
+
+namespace
+{
+/** Every operator new in this binary, for the steady-state
+ *  allocation test. */
+std::atomic<std::uint64_t> allocations{0};
+} // namespace
+
+// Out of line, like the deletes below, so no call site sees
+// malloc() or free() meet operator new or delete.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -503,6 +540,52 @@ TEST(CacheService, MissFetchesTheBackendValue)
     EXPECT_EQ(totals.missCostNs, get.backendNs);
 }
 
+/**
+ * Once every key has its cost estimate, the service's get miss, get
+ * hit, store and del paths allocate nothing: the key table is flat,
+ * a single-flight claim nobody joins makes no flight object, and the
+ * closed breaker takes no lock.
+ */
+TEST(CacheService, SteadyStateOpsAllocateNothing)
+{
+    for (const HitPath path : {HitPath::Locked, HitPath::Seqlock}) {
+        SyntheticBackend backend(SyntheticBackendConfig{});
+        ServeConfig config = smallServeConfig(PolicyKind::Acl);
+        config.hitPath = path;
+        config.stripes = 2;
+        CacheService service(config, backend);
+        // Warm up: every key gets its cost estimate, and every
+        // stripe's in-flight vector sees a miss.
+        constexpr Addr kKeys = 8192; // 8 keys per line: misses churn
+        for (Addr key = 0; key < kKeys; ++key)
+            service.put(key, key);
+        for (Addr key = 0; key < kKeys; ++key)
+            service.get(key);
+
+        Rng rng(3);
+        std::vector<Addr> keys(40'000);
+        for (Addr &key : keys)
+            key = rng.next() % kKeys;
+        const ServeTotals warm = service.totals();
+        const std::uint64_t before = allocations.load();
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (i % 5 == 0)
+                service.put(keys[i], i);
+            else
+                service.get(keys[i]);
+            if (i % 97 == 0)
+                service.del(keys[i]);
+        }
+        EXPECT_EQ(allocations.load() - before, 0u) << hitPathName(path);
+
+        const ServeTotals totals = service.totals();
+        EXPECT_GT(totals.misses - warm.misses, 10'000u);
+        EXPECT_GT(totals.hits - warm.hits, 1'000u);
+        EXPECT_GT(totals.storeHits - warm.storeHits, 500u);
+        EXPECT_EQ(totals.trackedKeys, kKeys);
+    }
+}
+
 TEST(CacheService, ShardOfIsStableAndInRange)
 {
     SyntheticBackend backend(SyntheticBackendConfig{});
@@ -512,6 +595,114 @@ TEST(CacheService, ShardOfIsStableAndInRange)
         EXPECT_LT(shard, service.numShards());
         EXPECT_EQ(shard, service.shardOf(key));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The per-stripe key table (the online cost model's storage)
+// ---------------------------------------------------------------------------
+
+TEST(ServeKeyTable, StoresAndFindsZeroAndAllOnesKeys)
+{
+    constexpr Addr kAllOnes = ~Addr{0}; // the table's empty-slot marker
+    KeyTable table;
+    EXPECT_EQ(table.find(0), nullptr);
+    EXPECT_EQ(table.find(kAllOnes), nullptr);
+
+    table[0].observe(100.0, 0.25);
+    table[kAllOnes].observe(300.0, 0.25);
+    table[kAllOnes].remember(9);
+    EXPECT_EQ(table.size(), 2u);
+
+    ASSERT_NE(table.find(0), nullptr);
+    EXPECT_EQ(table.find(0)->ewmaNs, 100.0);
+    EXPECT_FALSE(table.find(0)->hasValue());
+    ASSERT_NE(table.find(kAllOnes), nullptr);
+    EXPECT_EQ(table.find(kAllOnes)->ewmaNs, 300.0);
+    EXPECT_EQ(table.find(kAllOnes)->samples(), 1u);
+    EXPECT_TRUE(table.find(kAllOnes)->hasValue());
+    EXPECT_EQ(table.find(kAllOnes)->lastValue, 9u);
+    EXPECT_EQ(table.find(1), nullptr);
+}
+
+TEST(ServeKeyTable, KeepsEveryEntryAcrossDoublings)
+{
+    // Thousands of keys force several doublings; every key's state
+    // must match a node-based reference map bit for bit.
+    KeyTable table;
+    std::unordered_map<Addr, KeyState> reference;
+    Rng rng(11);
+    for (int i = 0; i < 20'000; ++i) {
+        // Low-entropy keys (dense, and multiples of a large power of
+        // two) next to random ones, to stress the probe sequence.
+        const Addr key = i % 3 == 0   ? rng.next()
+                         : i % 3 == 1 ? static_cast<Addr>(i % 5000)
+                                      : static_cast<Addr>(i % 4000) << 32;
+        const double latency = static_cast<double>(rng.next() % 10'000);
+        table[key].observe(latency, 0.25);
+        reference[key].observe(latency, 0.25);
+        if (i % 7 == 0) {
+            table[key].remember(static_cast<std::uint64_t>(i));
+            reference[key].remember(static_cast<std::uint64_t>(i));
+        }
+    }
+    ASSERT_EQ(table.size(), reference.size());
+    for (const auto &[key, want] : reference) {
+        const KeyState *got = table.find(key);
+        ASSERT_NE(got, nullptr) << key;
+        EXPECT_EQ(got->ewmaNs, want.ewmaNs) << key;
+        EXPECT_EQ(got->samples(), want.samples()) << key;
+        EXPECT_EQ(got->hasValue(), want.hasValue()) << key;
+        EXPECT_EQ(got->lastValue, want.lastValue) << key;
+    }
+}
+
+TEST(ServeKeyTable, ForEachVisitsEachKeyExactlyOnce)
+{
+    KeyTable table;
+    std::set<Addr> inserted = {0, ~Addr{0}, 1, 1ull << 63};
+    for (Addr key = 100; key < 1100; ++key)
+        inserted.insert(key * 0x9E3779B97F4A7C15ull);
+    for (Addr key : inserted)
+        table[key].observe(1.0, 0.5);
+
+    std::map<Addr, int> visits;
+    table.forEach([&visits](Addr key, const KeyState &state) {
+        EXPECT_EQ(state.samples(), 1u);
+        ++visits[key];
+    });
+    EXPECT_EQ(visits.size(), inserted.size());
+    EXPECT_EQ(table.size(), inserted.size());
+    for (Addr key : inserted)
+        EXPECT_EQ(visits[key], 1) << key;
+}
+
+TEST(ServeKeyTable, TrackedKeysCountsDistinctKeysTouched)
+{
+    // A del invalidates the line but keeps (and never creates) the
+    // cost estimate, so the tracked keys are those read or written.
+    SyntheticBackend backend(SyntheticBackendConfig{});
+    ServeConfig config = smallServeConfig(PolicyKind::Acl);
+    config.stripes = 2;
+    CacheService service(config, backend);
+    std::set<Addr> touched;
+    Rng rng(5);
+    for (int i = 0; i < 30'000; ++i) {
+        Addr key = rng.next() % 6'000;
+        if (i % 1000 == 0)
+            key = i % 2000 == 0 ? 0 : ~Addr{0};
+        const std::uint64_t op = rng.next() % 10;
+        if (op == 0) {
+            service.del(key);
+        } else {
+            touched.insert(key);
+            if (op < 3)
+                service.put(key, key ^ 0xABCDull);
+            else
+                service.get(key);
+        }
+    }
+    EXPECT_EQ(service.totals().trackedKeys, touched.size());
+    service.checkInvariants();
 }
 
 // ---------------------------------------------------------------------------
@@ -599,6 +790,20 @@ TEST(LoadHarness, JsonOutputIsValid)
     JsonValidator validator(os.str());
     EXPECT_TRUE(validator.valid()) << os.str();
     EXPECT_NE(os.str().find("\"missCostNs\""), std::string::npos);
+    EXPECT_EQ(os.str().find("null"), std::string::npos) << os.str();
+
+    // A result nobody timed (a server's exit report) writes null for
+    // what it never measured, the "n/a" of timingTable(), not 0.
+    const HarnessResult untimed(1e6, 16);
+    std::ostringstream empty;
+    untimed.writeJsonObject(empty, "lru", "none");
+    JsonValidator emptyValidator(empty.str());
+    EXPECT_TRUE(emptyValidator.valid()) << empty.str();
+    for (const char *leaf :
+         {"\"wallSec\": null", "\"qps\": null", "\"p50\": null",
+          "\"p90\": null", "\"p99\": null"})
+        EXPECT_NE(empty.str().find(leaf), std::string::npos) << leaf;
+    EXPECT_EQ(empty.str().find("\"p99\": 0"), std::string::npos);
 }
 
 TEST(LoadHarness, RejectsBadConfig)

@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "cache/SimdScan.h"
 #include "robust/Errors.h"
 #include "serve/CacheService.h"
+#include "serve/InflightTable.h"
 #include "serve/LoadHarness.h"
 #include "serve/SyntheticBackend.h"
 #include "util/Random.h"
@@ -123,6 +126,30 @@ class CrashOnceBackend : public GateBackend
 
   private:
     std::atomic<bool> failNext_{true};
+};
+
+/**
+ * GateBackend variant that parks only its first fetch at the gate and
+ * serves every later one at once: a leader wedged on a hung backend
+ * while the key's next requester finds a healthy one.
+ */
+class WedgeOnceBackend : public GateBackend
+{
+  public:
+    BackendResult
+    fetch(Addr key, std::uint64_t salt) override
+    {
+        if (wedgeNext_.exchange(false))
+            return GateBackend::fetch(key, salt);
+        fetches.fetch_add(1, std::memory_order_relaxed);
+        BackendResult result;
+        result.value = valueOf(key);
+        result.latencyNs = 5000.0;
+        return result;
+    }
+
+  private:
+    std::atomic<bool> wedgeNext_{true};
 };
 
 } // namespace
@@ -568,6 +595,94 @@ TEST(ServeSingleFlight, StripedStampedeStillCoalescesToOneFetch)
     EXPECT_EQ(totals.backendFetches, 1u);
     EXPECT_EQ(totals.coalescedMisses, kThreads - 1);
     EXPECT_EQ(service.keySamples(kKey), kThreads);
+    service.checkInvariants();
+}
+
+TEST(ServeSingleFlight, LeaderOnlyClaimCarriesNoFlight)
+{
+    InflightTable table;
+    const auto [flight, leader] = table.claim(7);
+    EXPECT_TRUE(leader);
+    EXPECT_EQ(flight, nullptr);
+    EXPECT_EQ(table.size(), 1u);
+    // Nobody joined: the leader has nothing to publish.
+    EXPECT_EQ(table.erase(7), nullptr);
+    EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(ServeSingleFlight, FirstJoinMakesTheFlightAndEraseHandsItBack)
+{
+    InflightTable table;
+    ASSERT_TRUE(table.claim(7).second);
+    const auto [flight, leader] = table.claim(7);
+    EXPECT_FALSE(leader);
+    ASSERT_NE(flight, nullptr);
+    // Later joiners share the first joiner's flight.
+    EXPECT_EQ(table.claim(7).first, flight);
+    EXPECT_EQ(table.size(), 1u);
+    EXPECT_EQ(table.erase(7), flight);
+    EXPECT_EQ(table.size(), 0u);
+    // The key is free again: the next claim leads.
+    EXPECT_TRUE(table.claim(7).second);
+}
+
+TEST(ServeSingleFlight, TakeAllReturnsOneFlightPerInflightKey)
+{
+    InflightTable table;
+    for (Addr key = 1; key <= 3; ++key)
+        ASSERT_TRUE(table.claim(key).second);
+    const std::shared_ptr<InflightFetch> joined = table.claim(2).first;
+    ASSERT_NE(joined, nullptr);
+
+    const auto flights = table.takeAll();
+    ASSERT_EQ(flights.size(), 3u);
+    for (const auto &flight : flights)
+        EXPECT_NE(flight, nullptr);
+    EXPECT_EQ(std::count(flights.begin(), flights.end(), joined), 1);
+    EXPECT_EQ(table.size(), 0u);
+    // A leader finishing after the drain finds its entry gone.
+    EXPECT_EQ(table.erase(1), nullptr);
+}
+
+/**
+ * The drain path through the service: a leader wedged in its fetch,
+ * with nobody joined, is still one in-flight fetch to failInflight(),
+ * and the key's next get elects a fresh leader instead of waiting on
+ * the wedged one.
+ */
+TEST(ServeSingleFlight, WedgedLeaderWithoutJoinerIsFailedAndReplaced)
+{
+    WedgeOnceBackend backend;
+    CacheService service(churnConfig(PolicyKind::Lru, HitPath::Locked),
+                         backend);
+    constexpr Addr kKey = 42;
+    std::atomic<bool> leaderFailed{false};
+
+    std::thread wedged([&] {
+        try {
+            service.get(kKey);
+        } catch (...) {
+            leaderFailed.store(true);
+        }
+    });
+    while (backend.fetches.load() == 0)
+        std::this_thread::yield();
+
+    EXPECT_EQ(service.failInflight("drain"), 1u);
+    EXPECT_EQ(service.failInflight("drain"), 0u);
+
+    const ServeOpResult fresh = service.get(kKey);
+    EXPECT_FALSE(fresh.hit);
+    EXPECT_EQ(fresh.value, GateBackend::valueOf(kKey));
+    EXPECT_EQ(backend.fetches.load(), 2u);
+    EXPECT_EQ(service.totals().coalescedMisses, 0u);
+
+    // The late leader completes against a gone entry, harmlessly.
+    backend.release();
+    wedged.join();
+    EXPECT_FALSE(leaderFailed.load());
+    EXPECT_EQ(service.totals().backendFetches, 2u);
+    EXPECT_TRUE(service.get(kKey).hit);
     service.checkInvariants();
 }
 

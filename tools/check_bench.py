@@ -25,6 +25,9 @@ thresholds, so the gate is built from machine-independent signals:
   * Wall-clock-only leaves (wallSec, qps, iterations, latency
     percentiles, the whole "timing" block) are skipped.
 
+  * Non-numeric leaves are ignored: strings, booleans, and the nulls
+    a bench writes for a value it never measured.
+
 Structural drift -- a leaf present on one side only -- is an error:
 it means the bench output changed shape and the baselines need
 regenerating (see bench/baselines/README.md).
@@ -64,7 +67,8 @@ THROUGHPUT_KEYS = {"nsPerAccess", "accessesPerSec", "hitsPerSec"}
 
 
 def flatten(node, path=()):
-    """Yield (path_tuple, value) for every numeric leaf."""
+    """Yield (path_tuple, value) for every numeric leaf; string,
+    boolean and null leaves yield nothing."""
     if isinstance(node, dict):
         for key, child in node.items():
             yield from flatten(child, path + (key,))
