@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "robust/Errors.h"
-#include "robust/FaultInjector.h"
 #include "telemetry/Telemetry.h"
 #include "util/Logging.h"
 
@@ -100,7 +99,6 @@ NumaSystem::run()
     while (events_.step()) {
         if (++events % kWatchdogEveryEvents != 0)
             continue;
-        CSR_FAULT_POINT(FaultSite::NumaSim, "numa event loop");
         if (config_.maxSimNs != 0 && events_.now() > config_.maxSimNs) {
             throw SimulationStallError(
                 "simulated time " + std::to_string(events_.now()) +

@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "robust/FaultInjector.h"
-
 namespace csr
 {
 
@@ -86,10 +84,6 @@ JsonlWriter::appendLine(const std::string &json)
 {
     if (file_ == nullptr)
         return;
-    // Fires only for callers with an active FaultInjector::Scope
-    // (unit tests of checkpoint robustness); an injected fault here
-    // behaves like a real failed disk write.
-    CSR_FAULT_POINT(FaultSite::CheckpointIO, "journal append");
     const std::lock_guard<std::mutex> lock(mutex_);
     const std::string line = json + "\n";
     if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||

@@ -201,8 +201,10 @@ class CircuitOpenError : public Error
     }
 };
 
-/** A deterministic fault injected by csr::FaultInjector (only ever
- *  raised in builds with -DCSR_FAULT_INJECT=ON). */
+/** A deterministic fault injected by a chaos decision
+ *  (robust/NetChaos.h): a failed sweep cell attempt under csrsim
+ *  --fault-rate, or a failed backend fetch under csrserve
+ *  --chaos-rate. */
 class InjectedFaultError : public Error
 {
   public:

@@ -1,14 +1,10 @@
 /**
  * @file
- * Deterministic network chaos injection for csr::serve (the wire-tier
- * sibling of FaultInjector).
+ * Deterministic fault injection: the one decision core behind
+ * csrserve's wire chaos and csrsim's sweep-cell faults.
  *
- * FaultInjector's probes are scoped to a (cell, attempt) and advance a
- * thread-local draw index -- the right shape for a sweep, the wrong
- * one for a server where the set of threads and their interleaving is
- * not part of the contract.  Network chaos decisions must instead be
- * a pure function of *what* is being perturbed, never of *when* or
- * *on which thread*:
+ * Decisions are a pure function of *what* is being perturbed, never
+ * of *when* or *on which thread*:
  *
  *     decide(cfg, site, a, b) = f(cfg.seed, site, a, b)
  *
@@ -17,7 +13,9 @@
  * serial and write ordinal for short writes.  Two runs with the same
  * seed and the same client stream inject the same backend faults into
  * the same fetches, no matter how the epoll workers interleave; CI
- * soaks diff their summaries per seed.
+ * soaks diff their summaries per seed.  A sweep names a cell attempt
+ * by (cell hash, attempt), so the same cells fail at any --jobs and a
+ * retry draws a fresh decision.
  *
  * Sites split into two determinism classes, documented per enumerator:
  * CONTENT faults change observable replies/totals deterministically;
@@ -25,9 +23,11 @@
  * and must leave every byte of the summary unchanged.  ConnReset is
  * the deliberate exception -- it loses queued commands, so it is
  * opt-in (`resets`) and excluded from summary-diffed CI legs.
+ * SweepCell is csrsim's: a firing decision fails one cell attempt,
+ * which the sweep retries or records as a failure.
  *
- * Header-only, like Errors.h: depended on from src/serve and tools
- * without dragging a library edge.
+ * Header-only, like Errors.h: depended on from src/serve, src/sim
+ * and tools without dragging a library edge.
  */
 
 #ifndef CSR_ROBUST_NETCHAOS_H
@@ -42,7 +42,7 @@
 namespace csr
 {
 
-/** Named wire-tier chaos sites. */
+/** Named chaos sites. */
 enum class ChaosSite : unsigned
 {
     ShortWrite = 0, ///< TIMING: cap one send() below the queued bytes
@@ -50,6 +50,7 @@ enum class ChaosSite : unsigned
     BackendError,   ///< CONTENT: fetchAsync completes with an error
     BackendLatency, ///< CONTENT: scale a fetch's reported latency
     ConnReset,      ///< LOSSY: close a connection mid-command (opt-in)
+    SweepCell,      ///< SWEEP: fail one sweep cell attempt (csrsim)
     Count_,
 };
 
@@ -62,13 +63,15 @@ chaosSiteName(ChaosSite site)
     case ChaosSite::BackendError: return "BackendError";
     case ChaosSite::BackendLatency: return "BackendLatency";
     case ChaosSite::ConnReset: return "ConnReset";
+    case ChaosSite::SweepCell: return "SweepCell";
     case ChaosSite::Count_: break;
     }
     return "?";
 }
 
-/** Wire chaos knobs (csrserve --chaos-rate / --chaos-seed /
- *  --chaos-resets).  rate <= 0 turns every site off. */
+/** Chaos knobs: csrserve --chaos-rate / --chaos-seed /
+ *  --chaos-resets, or csrsim sweep --fault-rate / --fault-seed.
+ *  rate <= 0 turns every site off. */
 struct ChaosConfig
 {
     double rate = 0.0;
@@ -109,7 +112,8 @@ namespace detail
 /** One shared draw chain for every chaos decision: mix the seed with
  *  a site-distinct constant and the two operation coordinates.  The
  *  0x9E37... odd multiplier keeps neighbouring sites/ordinals from
- *  producing correlated draws (same discipline as FaultInjector). */
+ *  producing correlated draws.  New sites go last in ChaosSite so
+ *  the draws of the existing ones never change. */
 inline std::uint64_t
 chaosHash(const ChaosConfig &cfg, ChaosSite site, std::uint64_t a,
           std::uint64_t b)

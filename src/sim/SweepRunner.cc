@@ -14,7 +14,6 @@
 #include "replay/Format.h"
 #include "replay/SweepTrace.h"
 #include "robust/CheckpointLog.h"
-#include "robust/FaultInjector.h"
 #include "sim/SweepCheckpoint.h"
 #include "telemetry/Telemetry.h"
 #include "util/Logging.h"
@@ -444,6 +443,21 @@ SweepResult::writeJson(const std::string &path,
     std::fclose(f);
 }
 
+SweepOptions::CellProbe
+injectFaults(const ChaosConfig &chaos)
+{
+    if (!chaos.enabled())
+        return {};
+    return [chaos](const SweepCell &cell, unsigned attempt) {
+        if (chaosDecide(chaos, ChaosSite::SweepCell, cell.hash(),
+                        attempt))
+            throw InjectedFaultError(
+                std::string("injected fault at ") +
+                chaosSiteName(ChaosSite::SweepCell) + ", attempt " +
+                std::to_string(attempt));
+    };
+}
+
 SweepRunner::SweepRunner(unsigned jobs)
     : jobs_(jobs ? jobs : ThreadPool::defaultThreads())
 {
@@ -601,11 +615,6 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
         while (slot.outcome == Outcome::Pending) {
             ++attempt;
             try {
-                // Fresh fault-injection scope per attempt, so a
-                // retried cell draws new (still deterministic)
-                // decisions.  The shared setup above runs outside
-                // any scope and can never be injected into.
-                FaultInjector::Scope scope(hashMix64(seed ^ attempt));
                 if (options.cellProbe)
                     options.cellProbe(cell, attempt);
 

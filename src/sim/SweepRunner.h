@@ -30,6 +30,7 @@
 #include "cache/PolicyFactory.h"
 #include "cost/CostModel.h"
 #include "robust/Errors.h"
+#include "robust/NetChaos.h"
 #include "sim/TraceStudy.h"
 #include "trace/SampledTrace.h"
 #include "trace/WorkloadFactory.h"
@@ -196,7 +197,7 @@ struct SweepResult
 struct SweepOptions
 {
     /** Attempts per cell (>= 1).  Retries re-run the cell from
-     *  scratch with a fresh fault-injection scope. */
+     *  scratch; cellProbe sees the new attempt number. */
     unsigned maxAttempts = 1;
 
     /** Base backoff before the first retry, doubled per further
@@ -216,13 +217,25 @@ struct SweepOptions
     std::uint64_t validateEveryRefs = 0;
 
     /**
-     * Test hook: runs at the start of every (cell, attempt) inside
+     * Fault hook: runs at the start of every (cell, attempt) inside
      * the per-cell guard.  A throw here is handled exactly like a
-     * simulator failure, which makes the isolation/retry/checkpoint
-     * machinery testable without a fault-injection build.
+     * simulator failure, which is how injectFaults() and the tests
+     * drive the isolation/retry/checkpoint machinery.
      */
-    std::function<void(const SweepCell &, unsigned attempt)> cellProbe;
+    using CellProbe =
+        std::function<void(const SweepCell &, unsigned attempt)>;
+    CellProbe cellProbe;
 };
+
+/**
+ * A cellProbe that throws InjectedFaultError when
+ * chaosDecide(@p chaos, ChaosSite::SweepCell, cell.hash(), attempt)
+ * fires (csrsim sweep --fault-rate / --fault-seed).  The decision is
+ * pure in (seed, cell, attempt): the same cells fail at any worker
+ * count, a retry draws afresh, and the shared setup is never hit.
+ * Empty (no probe) when @p chaos is off.
+ */
+SweepOptions::CellProbe injectFaults(const ChaosConfig &chaos);
 
 /**
  * The engine.  jobs == 0 means one worker per hardware thread.

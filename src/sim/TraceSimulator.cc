@@ -2,22 +2,11 @@
 
 #include <limits>
 
-#include "robust/FaultInjector.h"
 #include "telemetry/Telemetry.h"
 #include "util/Logging.h"
 
 namespace csr
 {
-
-namespace
-{
-
-/** Cadence of the fault-injection probe in the replay loop: cheap
- *  enough to leave in every CSR_FAULT_INJECT build, frequent enough
- *  that realistic fault rates hit mid-simulation. */
-constexpr std::uint64_t kFaultProbeEveryRefs = 4096;
-
-} // namespace
 
 TraceSimulator::TraceSimulator(const TraceSimConfig &config,
                                PolicyPtr policy,
@@ -45,9 +34,6 @@ TraceSimulator::run(const std::vector<TraceRecord> &records,
             handleRemoteWrite(rec.addr);
         } else {
             handleSampledAccess(rec.addr);
-            if (result_.sampledRefs % kFaultProbeEveryRefs == 0)
-                CSR_FAULT_POINT(FaultSite::TraceSim,
-                                "trace replay loop");
             if (config_.validateEveryRefs != 0 &&
                 result_.sampledRefs % config_.validateEveryRefs == 0)
                 checkInvariants();

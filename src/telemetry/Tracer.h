@@ -12,12 +12,10 @@
  *
  * Overhead contract (see DESIGN.md "Telemetry"):
  *
- *  - compiled out (-DCSR_TELEMETRY_DISABLED), the CSR_TRACE_* macros
- *    expand to nothing;
- *  - compiled in but runtime-disabled (the default), every macro is a
- *    single relaxed atomic load and a predictable branch -- no call
- *    into the Tracer is made, which tests/test_telemetry.cc verifies
- *    through the recordCalls() counter;
+ *  - runtime-disabled (the default), every macro is a single relaxed
+ *    atomic load and a predictable branch -- no call into the Tracer
+ *    is made, which tests/test_telemetry.cc verifies through the
+ *    recordCalls() counter;
  *  - enabled, events append to a per-thread buffer under that
  *    buffer's own uncontended mutex (taken only so that export can
  *    run concurrently with stragglers under TSan).

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "robust/Errors.h"
-#include "robust/FaultInjector.h"
 #include "util/Logging.h"
 
 namespace csr
@@ -184,7 +183,6 @@ saveTrace(const std::string &path, const std::vector<TraceRecord> &records)
 std::vector<TraceRecord>
 loadTrace(const std::string &path)
 {
-    CSR_FAULT_POINT(FaultSite::TraceLoad, "loadTrace(" + path + ")");
     std::ifstream is(path, std::ios::binary);
     if (!is)
         throw ConfigError("cannot open '" + path + "' for reading");

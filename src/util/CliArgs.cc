@@ -1,6 +1,7 @@
 #include "util/CliArgs.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "robust/Errors.h"
@@ -119,6 +120,11 @@ CliArgs::getDouble(const std::string &key, double fallback) const
     if (end == it->second.c_str() || *end != '\0')
         throw ConfigError(program_ + ": --" + key + " '" + it->second +
                           "' is not a number");
+    // strtod accepts "nan" and "inf", which would slip through every
+    // range check (all comparisons with NaN are false).
+    if (!std::isfinite(parsed))
+        throw ConfigError(program_ + ": --" + key + " '" + it->second +
+                          "' is not a finite number");
     return parsed;
 }
 

@@ -75,7 +75,8 @@ class CliArgs
     std::string get(const std::string &key,
                     const std::string &fallback) const;
 
-    /** Number; ConfigError when the value does not parse. */
+    /** Finite number; ConfigError when the value does not parse or
+     *  is nan/inf. */
     double getDouble(const std::string &key, double fallback) const;
 
     /** Unsigned integer (base auto-detected); ConfigError when the

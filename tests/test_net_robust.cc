@@ -578,6 +578,31 @@ TEST(NetChaos, DecisionsArePureSeedSensitiveAndGated)
     EXPECT_THROW(bad.validate(), ConfigError);
 }
 
+TEST(NetChaos, NewSitesLeaveExistingDrawsUnchanged)
+{
+    // The wire sites' draws, pinned: CI diffs chaos soak summaries per
+    // seed, so adding a site (SweepCell) must not move any of them.
+    ChaosConfig cfg;
+    cfg.rate = 0.5;
+    cfg.seed = 42;
+    const std::uint64_t pinned[] = {
+        0xF1A59C058693B618ull, // ShortWrite
+        0xA29A79D9DE980F54ull, // DeferAccept
+        0x372AABCFEEE603CBull, // BackendError
+        0x28A78908DDEBDE96ull, // BackendLatency
+        0x129ADE22404477E8ull, // ConnReset
+    };
+    for (unsigned s = 0; s < std::size(pinned); ++s) {
+        const auto site = static_cast<ChaosSite>(s);
+        EXPECT_EQ(detail::chaosHash(cfg, site, 7, 3), pinned[s])
+            << chaosSiteName(site);
+    }
+    const std::uint64_t sweep =
+        detail::chaosHash(cfg, ChaosSite::SweepCell, 7, 3);
+    for (const std::uint64_t draw : pinned)
+        EXPECT_NE(sweep, draw);
+}
+
 TEST(NetChaos, ChaosBackendInjectsTheSameFaultsEveryRun)
 {
     ChaosConfig chaos;

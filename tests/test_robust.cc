@@ -4,11 +4,9 @@
  * JSONL checkpoint substrate under corrupt and truncated input, the
  * sweep checkpoint codec, per-cell fault isolation and retry,
  * kill-and-resume equivalence, hardened trace parsing, the NUMA
- * stall watchdog, and (in CSR_FAULT_INJECT builds) the deterministic
- * fault injector end to end.
+ * stall watchdog, and injected sweep-cell faults end to end.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,7 +21,7 @@
 #include "numa/NumaSystem.h"
 #include "robust/CheckpointLog.h"
 #include "robust/Errors.h"
-#include "robust/FaultInjector.h"
+#include "robust/NetChaos.h"
 #include "sim/SweepCheckpoint.h"
 #include "sim/SweepRunner.h"
 #include "trace/TraceIO.h"
@@ -633,99 +631,88 @@ TEST(ValidateMode, SweepWithInvariantChecksMatchesWithout)
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic fault injector
+// Injected faults (SweepCell chaos decisions at the cell hook)
 // ---------------------------------------------------------------------------
 
-std::vector<bool>
-drawSequence(std::uint64_t seed, std::uint64_t context, int n)
+SweepOptions
+faultOptions(double rate, std::uint64_t seed, unsigned max_attempts)
 {
-    FaultInjector &injector = FaultInjector::instance();
-    injector.configure(0.5, seed);
-    FaultInjector::Scope scope(context);
-    std::vector<bool> out;
-    for (int i = 0; i < n; ++i)
-        out.push_back(injector.shouldFail(FaultSite::TraceSim));
-    injector.configure(0.0, 0);
-    return out;
+    ChaosConfig chaos;
+    chaos.rate = rate;
+    chaos.seed = seed;
+    SweepOptions options;
+    options.maxAttempts = max_attempts;
+    options.retryBackoffMs = 0;
+    options.cellProbe = injectFaults(chaos);
+    return options;
 }
 
-TEST(FaultInjector, DecisionsAreDeterministicPerSeedAndContext)
+/** Ten cells: every paper policy at two cost ratios. */
+SweepGrid
+tenCellGrid()
 {
-    const auto a = drawSequence(1234, 42, 64);
-    const auto b = drawSequence(1234, 42, 64);
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, drawSequence(1235, 42, 64));
-    EXPECT_NE(a, drawSequence(1234, 43, 64));
-    // Roughly half fire at rate 0.5 -- sanity, not statistics.
-    const int fired = static_cast<int>(
-        std::count(a.begin(), a.end(), true));
-    EXPECT_GT(fired, 8);
-    EXPECT_LT(fired, 56);
+    SweepGrid grid = tinyGrid();
+    grid.policies = paperPolicies();
+    grid.ratios = {CostRatio::finite(2), CostRatio::finite(8)};
+    return grid;
 }
 
-TEST(FaultInjector, NeverFiresOutsideScopeOrWhenDisabled)
+TEST(SweepFaults, RateOneFailsEveryCellAndNeverTheSetup)
 {
-    FaultInjector &injector = FaultInjector::instance();
-    injector.configure(1.0, 7);
-    EXPECT_FALSE(injector.shouldFail(FaultSite::TraceSim)); // no scope
-    {
-        FaultInjector::Scope scope(1);
-        EXPECT_TRUE(injector.shouldFail(FaultSite::TraceSim));
-    }
-    injector.configure(0.0, 7);
-    {
-        FaultInjector::Scope scope(1);
-        EXPECT_FALSE(injector.shouldFail(FaultSite::TraceSim));
-    }
-}
+    EXPECT_FALSE(injectFaults(ChaosConfig{})); // off: no probe at all
 
-TEST(FaultInjector, CompiledProbesInjectIntoSweepCells)
-{
-    if (!faultInjectionCompiledIn())
-        GTEST_SKIP() << "built without -DCSR_FAULT_INJECT=ON";
-
-    FaultInjector &injector = FaultInjector::instance();
-    injector.configure(1.0, 99);
-
-    // Setup (trace generation, LRU profiles) runs outside any scope
-    // and must be immune; every cell then dies on its first probe.
-    const SweepResult result = SweepRunner(2).run(tinyGrid());
-    const std::uint64_t injected = injector.injectedCount();
-    injector.configure(0.0, 0); // resets the injected counter too
-
+    // The shared setup (traces, LRU profiles) runs before any cell
+    // hook, so run() returns; every cell attempt then fails.
+    const SweepResult result =
+        SweepRunner(2).run(tinyGrid(), faultOptions(1.0, 99, 2));
     EXPECT_TRUE(result.cells.empty());
     ASSERT_EQ(result.failures.size(), 2u);
-    for (const CellFailure &failure : result.failures)
+    for (const CellFailure &failure : result.failures) {
         EXPECT_EQ(failure.kind, "InjectedFaultError");
-    EXPECT_GE(injected, 2u);
+        EXPECT_EQ(failure.attempts, 2u);
+    }
 }
 
-TEST(FaultInjector, InjectedSweepIsRepeatable)
+TEST(SweepFaults, SameCellsFailAtAnyJobs)
 {
-    if (!faultInjectionCompiledIn())
-        GTEST_SKIP() << "built without -DCSR_FAULT_INJECT=ON";
+    const SweepOptions options = faultOptions(0.4, 2026, 2);
+    const SweepResult a = SweepRunner(1).run(tenCellGrid(), options);
+    const SweepResult b = SweepRunner(8).run(tenCellGrid(), options);
 
-    FaultInjector &injector = FaultInjector::instance();
-    SweepOptions options;
-    options.maxAttempts = 4;
-    options.retryBackoffMs = 0;
-
-    injector.configure(0.4, 2026);
-    const SweepResult a = SweepRunner(1).run(tinyGrid(), options);
-    injector.configure(0.4, 2026);
-    const SweepResult b = SweepRunner(8).run(tinyGrid(), options);
-    injector.configure(0.0, 0);
-
-    // Same seed => same cells fail with the same attempt counts,
-    // regardless of worker count.
+    // Decisions are pure in (seed, cell, attempt): the same cells fail
+    // after the same attempts, regardless of worker count.
+    EXPECT_FALSE(a.failures.empty());
+    EXPECT_FALSE(a.cells.empty());
     ASSERT_EQ(a.failures.size(), b.failures.size());
     for (std::size_t i = 0; i < a.failures.size(); ++i) {
         EXPECT_EQ(a.failures[i].index, b.failures[i].index);
         EXPECT_EQ(a.failures[i].attempts, b.failures[i].attempts);
+        EXPECT_EQ(a.failures[i].message, b.failures[i].message);
     }
     ASSERT_EQ(a.cells.size(), b.cells.size());
-    for (std::size_t i = 0; i < a.cells.size(); ++i)
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        EXPECT_EQ(a.cells[i].index, b.cells[i].index);
         EXPECT_EQ(a.cells[i].aggregateCost, b.cells[i].aggregateCost);
+    }
+}
+
+TEST(SweepFaults, RetriesDrawFreshDecisions)
+{
+    // One attempt at rate 0.5 loses some cells...
+    const SweepResult once =
+        SweepRunner(2).run(tenCellGrid(), faultOptions(0.5, 5, 1));
+    EXPECT_FALSE(once.failures.empty());
+
+    // ...but each retry is a new draw, so with enough attempts every
+    // cell gets through, with the result of a clean run.
+    const SweepResult retried =
+        SweepRunner(2).run(tenCellGrid(), faultOptions(0.5, 5, 32));
+    const SweepResult clean = SweepRunner(2).run(tenCellGrid());
+    EXPECT_TRUE(retried.complete());
+    ASSERT_EQ(retried.cells.size(), clean.cells.size());
+    for (std::size_t i = 0; i < clean.cells.size(); ++i)
+        EXPECT_EQ(retried.cells[i].aggregateCost,
+                  clean.cells[i].aggregateCost);
 }
 
 } // namespace

@@ -822,8 +822,6 @@ TEST(LoadHarness, RejectsBadConfig)
 // Telemetry from serve worker threads
 // ---------------------------------------------------------------------------
 
-#if !defined(CSR_TELEMETRY_DISABLED)
-
 TEST(ServeTelemetry, ConcurrentWorkersProduceBalancedValidTrace)
 {
     telemetry::Tracer::instance().clear();
@@ -851,8 +849,6 @@ TEST(ServeTelemetry, ConcurrentWorkersProduceBalancedValidTrace)
     EXPECT_TRUE(validator.valid());
     telemetry::Tracer::instance().clear();
 }
-
-#endif // !CSR_TELEMETRY_DISABLED
 
 TEST(ServeTelemetry, ConcurrentMetricExportIsValidJson)
 {

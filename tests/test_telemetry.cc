@@ -214,8 +214,6 @@ class TracingScope
 // Tracer
 // ---------------------------------------------------------------------------
 
-#if !defined(CSR_TELEMETRY_DISABLED)
-
 TEST(Tracer, ExportsValidChromeTraceJson)
 {
     TracingScope scope;
@@ -319,8 +317,6 @@ TEST(Tracer, ClearRestartsTheEpoch)
     telemetry::Tracer::instance().clear();
     EXPECT_EQ(telemetry::Tracer::instance().eventCount(), 0u);
 }
-
-#endif // !CSR_TELEMETRY_DISABLED
 
 // ---------------------------------------------------------------------------
 // MetricRegistry
@@ -442,6 +438,15 @@ TEST(CliArgs, ValidatesNumbersAndKnownFlags)
     const char *bad_jobs[] = {"prog", "--jobs", "many"};
     EXPECT_THROW(CliArgs(3, const_cast<char **>(bad_jobs)).jobs(),
                  ConfigError);
+
+    // strtod parses these, but no range check can catch a NaN.
+    for (const char *bad : {"nan", "inf", "-inf", "1e999"}) {
+        const char *argv[] = {"prog", "--fault-rate", bad};
+        EXPECT_THROW(CliArgs(3, const_cast<char **>(argv))
+                         .getDouble("fault-rate", 0.0),
+                     ConfigError)
+            << bad;
+    }
 
     const char *unknown[] = {"prog", "--bogus", "1"};
     CliArgs args(3, const_cast<char **>(unknown));

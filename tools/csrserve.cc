@@ -116,10 +116,6 @@ class TraceSession
     {
         if (path_.empty())
             return;
-#if defined(CSR_TELEMETRY_DISABLED)
-        warn("built with CSR_TELEMETRY=OFF: '%s' will contain no "
-             "events", path_.c_str());
-#endif
         telemetry::Tracer::instance().clear();
         telemetry::setTracingEnabled(true);
     }

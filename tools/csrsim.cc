@@ -39,7 +39,7 @@
  *                [--jobs N] [--scale test|small|full] [--csv 0|1]
  *                [--json FILE] [--json-timing 0|1]
  *                [--checkpoint FILE [--resume]] [--retries N]
- *                [--validate]
+ *                [--validate] [--fault-rate P [--fault-seed N]]
  *       Expands a declarative policy x workload x cost grid and runs
  *       every cell in parallel on a bounded thread pool (SweepRunner).
  *       Per-cell results go to stdout in stable grid order -- they are
@@ -52,6 +52,10 @@
  *       --resume restores them on restart, and a killed-and-resumed
  *       sweep's grid output is byte-identical to an uninterrupted run
  *       (pass --json-timing 0 to make the JSON byte-stable too).
+ *       --fault-rate P fails each cell attempt with probability P
+ *       (InjectedFaultError), decided purely from --fault-seed, the
+ *       cell and the attempt number, so the same cells fail at any
+ *       --jobs and a retry draws afresh.
  *
  * Every mode also accepts the telemetry flags:
  *
@@ -59,10 +63,6 @@
  *                   (open in https://ui.perfetto.dev);
  *   --metrics FILE  dump the run's unified metrics (counters, stats,
  *                   histograms) as JSON.
- *
- * Fault-injection builds (-DCSR_FAULT_INJECT=ON) additionally honour
- * --fault-rate F --fault-seed N, seeding deterministic failures at
- * the compiled probe points.
  *
  * Output paths (--trace/--metrics/--json/--checkpoint/--save-trace)
  * are probed for writability *before* the run starts, so a typo'd
@@ -86,7 +86,6 @@
 #include "replay/Replayer.h"
 #include "numa/NumaSystem.h"
 #include "robust/Errors.h"
-#include "robust/FaultInjector.h"
 #include "sim/SweepRunner.h"
 #include "sim/TraceStudy.h"
 #include "telemetry/MetricRegistry.h"
@@ -164,21 +163,6 @@ checkOutputPaths(const CliArgs &args)
     ensureWritable(args.get("save-trace", ""), "save-trace");
 }
 
-/** Wire --fault-rate/--fault-seed into the process-global injector. */
-void
-configureFaultInjection(const CliArgs &args)
-{
-    const double rate = args.getDouble("fault-rate", 0.0);
-    if (rate < 0.0 || rate > 1.0)
-        throw ConfigError("--fault-rate must be in [0,1]");
-    if (rate > 0.0 && !faultInjectionCompiledIn())
-        warn("this build has no fault-injection probes "
-             "(-DCSR_FAULT_INJECT=OFF); --fault-rate %.3f will inject "
-             "nothing", rate);
-    FaultInjector::instance().configure(rate,
-                                        args.getUInt("fault-seed", 1));
-}
-
 /**
  * RAII recording session for --trace: enables the tracer for the
  * scope and exports the Chrome trace JSON on exit.  A default
@@ -191,10 +175,6 @@ class TraceSession
     {
         if (path_.empty())
             return;
-#if defined(CSR_TELEMETRY_DISABLED)
-        warn("built with CSR_TELEMETRY=OFF: '%s' will contain no "
-             "events", path_.c_str());
-#endif
         telemetry::Tracer::instance().clear();
         telemetry::setTracingEnabled(true);
     }
@@ -460,6 +440,12 @@ runSweep(const CliArgs &args)
         throw ConfigError("--resume requires --checkpoint FILE");
     if (args.has("validate"))
         options.validateEveryRefs = kValidateCadence;
+    ChaosConfig faults;
+    faults.rate = args.getDouble("fault-rate", 0.0);
+    faults.seed = args.getUInt("fault-seed", 1);
+    if (faults.rate < 0.0 || faults.rate > 1.0)
+        throw ConfigError("--fault-rate must be in [0,1]");
+    options.cellProbe = injectFaults(faults);
 
     const SweepRunner runner(args.jobs());
     SweepResult result;
@@ -517,7 +503,6 @@ usage()
            "          --procs N --refs N --seed N --validate\n"
            "          --trace FILE (Chrome trace JSON, see Perfetto)\n"
            "          --metrics FILE (unified metrics JSON)\n"
-           "          --fault-rate F --fault-seed N (inject builds)\n"
            "  trace:  --mapping random|first-touch --ratio R --haf F\n"
            "          --assoc N --l2 BYTES --depreciation F\n"
            "          --save-trace FILE --load-trace FILE\n"
@@ -530,6 +515,7 @@ usage()
            "  sweep:  --grid PRESET|\"key=v1,v2;...\" --jobs N --csv 0|1\n"
            "          --json FILE --json-timing 0|1\n"
            "          --checkpoint FILE [--resume] --retries N\n"
+           "          --fault-rate P (per cell attempt) --fault-seed N\n"
            "          presets: table1 fig3 ablation-assoc\n"
            "            ablation-cachesize ablation-depreciation\n"
            "            ablation-etd smoke\n"
@@ -563,7 +549,6 @@ main(int argc, char **argv)
             return exitcode::kOk;
         }
         checkOutputPaths(args);
-        configureFaultInjection(args);
         if (mode == "trace")
             return runTrace(args);
         if (mode == "numa")
