@@ -84,9 +84,11 @@ main(int argc, char **argv)
 {
     const CliArgs args = bench::benchArgs(
         argc, argv, {"ops", "cache-bytes", "min-ops-per-min"});
-    const WorkloadScale scale = bench::scaleFrom(args);
-    bench::banner("Trace replay: decode+replay throughput by policy "
-                  "(recorded Zipfian .csrt)", scale);
+    const WorkloadScale scale = parseScale(args.get("scale", "small"));
+    printBanner(std::cout,
+                "Trace replay: decode+replay throughput by policy "
+                "(recorded Zipfian .csrt)",
+                scale);
 
     const std::uint64_t ops =
         args.getUInt("ops", opsForScale(scale));
@@ -100,7 +102,7 @@ main(int argc, char **argv)
     ReplayConfig config;
     config.path = path;
     config.cacheBytes = args.getUInt("cache-bytes", 1 << 20);
-    config.jobs = bench::jobsFrom(args);
+    config.jobs = args.jobs(); // 0 = one per hardware thread
 
     const std::vector<PolicyKind> policies = {
         PolicyKind::Lru, PolicyKind::GreedyDual, PolicyKind::Bcl,

@@ -117,10 +117,11 @@ main(int argc, char **argv)
         argc, argv,
         {"policies", "workers", "ops", "keys", "min-scaling",
          "write-fracs", "stripes", "min-write-scaling"});
-    const WorkloadScale scale = bench::scaleFrom(args);
-    bench::banner("Serving mode: hit-path contention scaling "
-                  "(locked vs seqlock, --affinity free)",
-                  scale);
+    const WorkloadScale scale = parseScale(args.get("scale", "small"));
+    printBanner(std::cout,
+                "Serving mode: hit-path contention scaling "
+                "(locked vs seqlock, --affinity free)",
+                scale);
     std::cout << "### tag scan ISA: " << simd::tagScanIsa() << "\n\n";
 
     const std::uint64_t ops =

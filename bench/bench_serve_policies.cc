@@ -53,9 +53,11 @@ main(int argc, char **argv)
 {
     const CliArgs args =
         bench::benchArgs(argc, argv, {"ops", "keys", "workers"});
-    const WorkloadScale scale = bench::scaleFrom(args);
-    bench::banner("Serving mode: online miss cost by policy "
-                  "(Zipfian keys, bimodal backend)", scale);
+    const WorkloadScale scale = parseScale(args.get("scale", "small"));
+    printBanner(std::cout,
+                "Serving mode: online miss cost by policy "
+                "(Zipfian keys, bimodal backend)",
+                scale);
 
     // The pressure point: keyspace well above cache capacity, 15% of
     // keys on a 16x slower backend tier.  Cost-sensitive policies

@@ -6,8 +6,8 @@
  * *count*; CostAwareBeladyPolicy is a greedy cost-weighted variant.
  * Neither is part of the paper's online proposal -- they implement the
  * offline bounds the paper discusses via its companion work [Jeong &
- * Dubois, SPAA'99] and are used by the bench_offline_bound extension
- * experiment.  The true cost-optimal schedule (CSOPT) requires search
+ * Dubois, SPAA'99] and are used by the offline-bound reproduction
+ * record.  The true cost-optimal schedule (CSOPT) requires search
  * over reservation schedules; the greedy variant here is a documented
  * heuristic, not CSOPT.
  */

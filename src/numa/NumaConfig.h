@@ -40,7 +40,7 @@ struct NumaConfig
      *  stalls.  Depth 1 approximates RSIM's sequential-consistency
      *  store serialization; the default of 8 (= the MSHR count, i.e.
      *  unconstrained) matches the paper's relative results best and
-     *  is swept by bench_ablation_ilp. */
+     *  is swept by the ablation-ilp reproduction record. */
     std::uint32_t storeBufferDepth = 8;
 
     // --- caches -----------------------------------------------------------

@@ -88,19 +88,6 @@ parseUIntFor(const std::string &key, const std::string &v)
     return parsed;
 }
 
-WorkloadScale
-parseScaleName(const std::string &name)
-{
-    const std::string s = lowered(name);
-    if (s == "test")
-        return WorkloadScale::Test;
-    if (s == "small")
-        return WorkloadScale::Small;
-    if (s == "full")
-        return WorkloadScale::Full;
-    throw ConfigError("unknown scale '" + name + "' (test|small|full)");
-}
-
 /** (workload source, l2Bytes, assoc): what a TraceStudy is keyed by.
  *  The source is the benchmark for synthetic cells and the trace path
  *  for .csrt cells. */
@@ -839,7 +826,7 @@ parseGridSpec(const std::string &spec)
             for (const auto &v : values)
                 grid.traceFiles.push_back(v);
         } else if (key == "scale") {
-            grid.scale = parseScaleName(values.front());
+            grid.scale = parseScale(values.front());
         } else {
             throw ConfigError("unknown grid key '" + key + "'");
         }

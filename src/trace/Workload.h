@@ -50,6 +50,13 @@ enum class WorkloadScale
     Full,
 };
 
+/** Parse "test" / "small" / "full" (case-insensitive); throws
+ *  ConfigError naming the valid scales on anything else. */
+WorkloadScale parseScale(const std::string &name);
+
+/** "test", "small" or "full". */
+const char *scaleName(WorkloadScale scale);
+
 /**
  * Uniform construction parameters for every benchmark.
  *

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <strings.h>
 
+#include "robust/Errors.h"
 #include "trace/BarnesWorkload.h"
 #include "trace/LuWorkload.h"
 #include "trace/OceanWorkload.h"
@@ -38,6 +40,29 @@ benchmarkName(BenchmarkId id)
         return "Raytrace";
     }
     return "?";
+}
+
+namespace
+{
+
+const char *const kScaleNames[] = {"test", "small", "full"};
+
+} // namespace
+
+WorkloadScale
+parseScale(const std::string &name)
+{
+    for (int i = 0; i < 3; ++i)
+        if (strcasecmp(name.c_str(), kScaleNames[i]) == 0)
+            return static_cast<WorkloadScale>(i);
+    throw ConfigError("unknown scale '" + name +
+                      "' (valid: test small full)");
+}
+
+const char *
+scaleName(WorkloadScale scale)
+{
+    return kScaleNames[static_cast<int>(scale)];
 }
 
 BenchmarkId

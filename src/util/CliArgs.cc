@@ -93,7 +93,10 @@ CliArgs::parse(int argc, char **argv, int first,
             continue;
         }
         if (contains(valueless, key)) {
-            values_[key] = "1";
+            // Move-assign a built string: assigning the literal makes
+            // GCC 12 report a false -Wrestrict overlap in
+            // basic_string::_M_replace.
+            values_[key] = std::string(1, '1');
             continue;
         }
         if (i + 1 >= argc)
@@ -144,14 +147,9 @@ CliArgs::getUInt(const std::string &key, std::uint64_t fallback) const
 }
 
 unsigned
-CliArgs::jobs(bool env_fallback) const
+CliArgs::jobs() const
 {
-    std::string value = get("jobs", "");
-    if (value.empty() && env_fallback) {
-        const char *env = std::getenv("CSR_JOBS");
-        if (env)
-            value = env;
-    }
+    const std::string value = get("jobs", "");
     if (value.empty())
         return 0;
     char *end = nullptr;

@@ -8,8 +8,7 @@
  * flag grammar (--key value or --key=value pairs, --help/-h),
  * produces the same diagnostics, and reads the common flags (--json,
  * --jobs, --seed, --trace, --metrics, --scale) through the same
- * accessors -- with the benches' historical environment variables
- * (CSR_JOBS, CSR_SCALE) as fallback where the callers opt in.
+ * accessors.
  *
  * Binaries that wrap a second flag parser (bench_micro_policies hands
  * google-benchmark's --benchmark_* flags through) use the lenient()
@@ -88,10 +87,8 @@ class CliArgs
 
     // --- the common flags, one spelling for every binary ------------------
 
-    /** --jobs N, validated to [0,1024] (0 = one per hardware thread);
-     *  falls back to $CSR_JOBS when @p env_fallback and the flag is
-     *  absent. */
-    unsigned jobs(bool env_fallback = false) const;
+    /** --jobs N, validated to [0,1024] (0 = one per hardware thread). */
+    unsigned jobs() const;
 
     /** --seed N. */
     std::uint64_t seed(std::uint64_t fallback) const;

@@ -155,20 +155,6 @@ ParallelTiming::recordTask(double seconds)
     tasks_.add(seconds);
 }
 
-void
-ParallelTiming::setWallSec(double seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    wallSec_ = seconds;
-}
-
-std::uint64_t
-ParallelTiming::taskCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.count();
-}
-
 double
 ParallelTiming::taskSecTotal() const
 {
@@ -177,40 +163,10 @@ ParallelTiming::taskSecTotal() const
 }
 
 double
-ParallelTiming::taskSecMean() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.mean();
-}
-
-double
 ParallelTiming::taskSecMax() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return tasks_.max();
-}
-
-double
-ParallelTiming::wallSec() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return wallSec_;
-}
-
-double
-ParallelTiming::speedup() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return wallSec_ > 0.0 ? tasks_.sum() / wallSec_ : 0.0;
-}
-
-double
-ParallelTiming::tasksPerSec() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return wallSec_ > 0.0
-               ? static_cast<double>(tasks_.count()) / wallSec_
-               : 0.0;
 }
 
 void

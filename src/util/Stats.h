@@ -162,11 +162,10 @@ class WallTimer
 };
 
 /**
- * Timing summary for a batch of parallel tasks.  Workers record the
- * wall-clock seconds of each task (thread-safe); the coordinator sets
- * the batch's total wall time once the pool has drained.  The
- * speedup() of task-seconds over wall-seconds is how the sweep engine
- * makes its parallelism observable.
+ * Timing summary for a batch of parallel tasks: workers record the
+ * wall-clock seconds of each task (thread-safe).  Task-seconds over
+ * the batch's wall time is how the sweep engine makes its
+ * parallelism observable.
  */
 class ParallelTiming
 {
@@ -174,23 +173,12 @@ class ParallelTiming
     /** Record one finished task (safe to call from any thread). */
     void recordTask(double seconds);
 
-    /** Set the whole batch's wall-clock duration. */
-    void setWallSec(double seconds);
-
-    std::uint64_t taskCount() const;
     double taskSecTotal() const;
-    double taskSecMean() const;
     double taskSecMax() const;
-    double wallSec() const;
-    /** Aggregate task time over wall time (1.0 when serial). */
-    double speedup() const;
-    /** Completed tasks per wall-clock second. */
-    double tasksPerSec() const;
 
   private:
     mutable std::mutex mutex_;
     RunningStat tasks_;
-    double wallSec_ = 0.0;
 };
 
 } // namespace csr

@@ -303,24 +303,6 @@ TEST(TraceStudyTest, OfflineOptBeatsLruMissCount)
     EXPECT_GE(savings, 0.0);
 }
 
-TEST(TraceStudyTest, AclNeverMuchWorseThanLru)
-{
-    // The paper's reliability claim for ACL, across mappings.
-    for (BenchmarkId id : paperBenchmarks()) {
-        auto workload = makeWorkload(id, WorkloadScale::Test);
-        const SampledTrace trace = buildSampledTrace(*workload, 1);
-        const TraceStudy study(trace);
-        for (double r : {2.0, 8.0, 32.0}) {
-            const FirstTouchTwoCost model(CostRatio::finite(r),
-                                          trace.homeOf,
-                                          trace.sampledProc);
-            EXPECT_GT(study.savingsPct(PolicyKind::Acl, model), -3.0)
-                << benchmarkName(id) << " r=" << r;
-        }
-    }
-}
-
-
 // ---------------------------------------------------------------------------
 // Migration cost model (Section 7 extension)
 // ---------------------------------------------------------------------------

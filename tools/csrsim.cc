@@ -2,21 +2,13 @@
  * @file
  * csrsim -- command-line driver for the csr simulators.
  *
- * Three modes:
+ * Five modes; `csrsim --help` lists every mode's flags:
  *
- *   csrsim trace --benchmark barnes --policy dcl \
- *                [--mapping random|first-touch] [--ratio 8] [--haf 0.3]
- *                [--scale test|small|full] [--assoc 4] [--l2 16384]
- *                [--alias-bits 0] [--depreciation 2.0]
- *                [--procs N] [--refs N] [--seed N] [--validate]
- *                [--save-trace FILE | --load-trace FILE]
+ *   csrsim trace --benchmark barnes --policy dcl [--ratio 8 ...]
  *       Replays a sampled-processor trace (Section 3 study) and
  *       prints hits/misses, aggregate cost and savings over LRU.
  *
- *   csrsim numa  --benchmark raytrace --policy dcl \
- *                [--clock 500|1000] [--hints 0|1] [--scale ...]
- *                [--alias-bits 0] [--store-weight 1.0]
- *                [--max-cycles NS] [--stall-window NS] [--validate]
+ *   csrsim numa --benchmark raytrace --policy dcl [--clock 1000 ...]
  *       Runs the 16-node CC-NUMA machine (Section 4 study) under LRU
  *       and the chosen policy and prints the execution-time delta.
  *       A hung protocol is converted into SimulationStallError (exit
@@ -24,22 +16,14 @@
  *       spinning forever; --max-cycles adds a hard simulated-time
  *       budget on top of the stall watchdog.
  *
- *   csrsim replay --file trace.csrt --policy acl \
- *                [--cache-bytes N] [--assoc N] [--block-bytes N]
- *                [--jobs N] [--max-ops N] [--default-cost NS]
- *                [--read-mode mmap|buffered] [--alias-bits N]
- *                [--depreciation F] [--seed N] [--json FILE]
+ *   csrsim replay --file trace.csrt --policy acl [--jobs N ...]
  *       Replays a recorded KV trace (.csrt, see csrtrace) straight
  *       through CacheModel under any online policy.  The summary on
  *       stdout is byte-identical for every --jobs value (the replay
  *       partitions by cache set, see replay/Replayer.h); timing goes
  *       to stderr.
  *
- *   csrsim sweep --grid table1|fig3|ablation-*|"key=v1,v2;..." \
- *                [--jobs N] [--scale test|small|full] [--csv 0|1]
- *                [--json FILE] [--json-timing 0|1]
- *                [--checkpoint FILE [--resume]] [--retries N]
- *                [--validate] [--fault-rate P [--fault-seed N]]
+ *   csrsim sweep --grid table1|fig3|ablation-*|"key=v1,v2;..." [...]
  *       Expands a declarative policy x workload x cost grid and runs
  *       every cell in parallel on a bounded thread pool (SweepRunner).
  *       Per-cell results go to stdout in stable grid order -- they are
@@ -57,7 +41,17 @@
  *       cell and the attempt number, so the same cells fail at any
  *       --jobs and a retry draws afresh.
  *
- * Every mode also accepts the telemetry flags:
+ *   csrsim reproduce --name table1|fig3|table2|...|all [--scale test]
+ *       Regenerates the paper's tables and figures from the records
+ *       of sim/Reproduction.h: each record's tables go to stdout
+ *       (byte-identical for any --jobs value), and each claim's
+ *       verdict (holds / FAILS) plus the sweep timing to stderr.  A
+ *       failing claim is a finding, not an error: the exit code is 0
+ *       unless the run itself fails.  --metrics writes Table 5's
+ *       miss-latency histograms.
+ *
+ * Every mode rejects a flag it does not know (exit 2, naming the
+ * valid flags), and also accepts the telemetry flags:
  *
  *   --trace FILE    record the run and export Chrome trace-event JSON
  *                   (open in https://ui.perfetto.dev);
@@ -79,13 +73,16 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "cache/CacheGeometry.h"
 #include "cost/StaticCostModels.h"
 #include "replay/Replayer.h"
 #include "numa/NumaSystem.h"
 #include "robust/Errors.h"
+#include "sim/Reproduction.h"
 #include "sim/SweepRunner.h"
 #include "sim/TraceStudy.h"
 #include "telemetry/MetricRegistry.h"
@@ -105,18 +102,26 @@ namespace
  *  the trace study, events for the NUMA run). */
 constexpr std::uint64_t kValidateCadence = 4096;
 
-WorkloadScale
-parseScale(const std::string &name)
-{
-    if (name == "test")
-        return WorkloadScale::Test;
-    if (name == "full")
-        return WorkloadScale::Full;
-    if (name == "small")
-        return WorkloadScale::Small;
-    throw ConfigError("unknown scale '" + name +
-                      "' (valid: test small full)");
-}
+/** The flags each mode reads, besides the common ones CliArgs always
+ *  accepts (--json --jobs --seed --trace --metrics).  Anything else
+ *  is a typo and exits 2 before the run starts. */
+const std::map<std::string, std::vector<std::string>> kModeFlags = {
+    {"trace",
+     {"benchmark", "policy", "mapping", "ratio", "haf", "scale", "assoc",
+      "l2", "alias-bits", "depreciation", "procs", "refs", "validate",
+      "save-trace", "load-trace"}},
+    {"numa",
+     {"benchmark", "policy", "clock", "hints", "scale", "alias-bits",
+      "store-weight", "max-cycles", "stall-window", "procs", "refs",
+      "validate"}},
+    {"replay",
+     {"file", "policy", "cache-bytes", "assoc", "block-bytes", "max-ops",
+      "default-cost", "read-mode", "alias-bits", "depreciation"}},
+    {"sweep",
+     {"grid", "scale", "csv", "json-timing", "checkpoint", "resume",
+      "retries", "validate", "fault-rate", "fault-seed"}},
+    {"reproduce", {"name", "scale"}},
+};
 
 PolicyKind
 policyFromArgs(const CliArgs &args, const std::string &fallback)
@@ -492,11 +497,45 @@ runSweep(const CliArgs &args)
     return result.complete() ? exitcode::kOk : exitcode::kSweepPartial;
 }
 
+int
+runReproduce(const CliArgs &args)
+{
+    const std::string name = args.get("name", "");
+    std::vector<const Reproduction *> records;
+    for (const Reproduction &record : reproductions())
+        if (name == "all" || record.name == name)
+            records.push_back(&record);
+    if (records.empty())
+        findReproduction(name); // throws, naming the valid records
+    const WorkloadScale scale = parseScale(args.get("scale", "small"));
+
+    MetricRegistry registry;
+    const TraceSession session(args.tracePath());
+    for (const Reproduction *record : records) {
+        if (record != records.front())
+            std::cout << "\n";
+        ReproRun run;
+        runReproduction(*record, scale, args.jobs(), run);
+        std::cout << run.out.str() << std::flush;
+        std::cerr << run.log.str();
+        for (const Claim &claim : record->claims)
+            std::cerr << "### " << record->name << ": "
+                      << (claim.holds(run.numbers) ? "holds" : "FAILS")
+                      << ": " << claim.text << "\n";
+        for (const auto &[metric, hist] : run.histograms)
+            registry.mergeHistogram(metric, hist);
+    }
+    if (!registry.empty())
+        writeMetricsIfRequested(args, registry);
+    return exitcode::kOk;
+}
+
 void
 usage()
 {
     std::cerr
-        << "usage: csrsim trace|numa|sweep|replay [--key value ...]\n"
+        << "usage: csrsim trace|numa|sweep|replay|reproduce "
+           "[--key value ...]\n"
            "  common: --benchmark barnes|lu|ocean|raytrace\n"
            "          --policy " << policyNamesJoined() << "\n"
         << "          --scale test|small|full  --alias-bits N\n"
@@ -522,6 +561,9 @@ usage()
            "          keys: benchmarks policies mappings ratios hafs\n"
            "            l2 assocs alias-bits depreciations scale\n"
            "            traces (.csrt files; replaces benchmarks)\n"
+           "  reproduce: --name RECORD|all --scale test|small|full\n"
+           "          --jobs N --metrics FILE (Table 5 histograms)\n"
+           "          records: " << reproductionNames() << "\n"
            "  exit codes: 0 ok, 2 config, 3 trace format, 4 checkpoint,\n"
            "    5 stall, 6 geometry, 7 invariant, 8 injected fault,\n"
            "    10 sweep finished with failed cells\n";
@@ -548,6 +590,12 @@ main(int argc, char **argv)
             usage();
             return exitcode::kOk;
         }
+        auto known = kModeFlags.find(mode);
+        if (known == kModeFlags.end()) {
+            usage();
+            return exitcode::kGeneric;
+        }
+        args.requireKnown(known->second);
         checkOutputPaths(args);
         if (mode == "trace")
             return runTrace(args);
@@ -557,6 +605,8 @@ main(int argc, char **argv)
             return runSweep(args);
         if (mode == "replay")
             return runReplay(args);
+        if (mode == "reproduce")
+            return runReproduce(args);
     } catch (const Error &e) {
         std::cerr << "csrsim: " << e.kind() << ": " << e.what() << "\n";
         return e.exitCode();
