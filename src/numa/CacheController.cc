@@ -197,7 +197,7 @@ CacheController::handleData(const Message &msg)
     const auto latency = static_cast<Cost>(now - mshr.issued);
     predictor_.update(msg.block, latency);
     missLatency_.add(latency);
-    missLatencyHist_.add(latency);
+    missLatencyHist_.add(now - mshr.issued);
     stats_.inc("l2.fill");
     CSR_TRACE_INSTANT_V("numa", "l2.fill_latency_ns", latency);
 

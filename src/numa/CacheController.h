@@ -76,6 +76,13 @@ class CacheController
 
     const StatGroup &stats() const { return stats_; }
     const LatencyPredictor &predictor() const { return predictor_; }
+    /** Measured miss latencies (ns). */
+    const RunningStat &missLatencyStat() const { return missLatency_; }
+    /** Measured miss-latency distribution (ns). */
+    const Histogram &missLatencyHistogram() const
+    {
+        return missLatencyHist_;
+    }
     ReplacementPolicy &policy() { return *l2_.policy(); }
 
     /** Introspection for protocol tests. */
@@ -128,26 +135,7 @@ class CacheController
     std::unordered_map<Addr, Mshr> mshrs_;
     StatGroup stats_;
     RunningStat missLatency_;
-
-  public:
-    /** Shape of the per-node miss-latency histogram; every node uses
-     *  the same buckets so NumaResult can merge them. */
-    static constexpr double kMissLatencyHistLoNs = 0.0;
-    static constexpr double kMissLatencyHistHiNs = 3200.0;
-    static constexpr std::size_t kMissLatencyHistBuckets = 64;
-
-    /** Measured miss latencies (ns). */
-    const RunningStat &missLatencyStat() const { return missLatency_; }
-
-    /** Measured miss-latency distribution (ns). */
-    const Histogram &missLatencyHistogram() const
-    {
-        return missLatencyHist_;
-    }
-
-  private:
-    Histogram missLatencyHist_{kMissLatencyHistLoNs, kMissLatencyHistHiNs,
-                               kMissLatencyHistBuckets};
+    Histogram missLatencyHist_;
 };
 
 } // namespace csr

@@ -38,9 +38,7 @@ struct NumaResult
     /** Miss-latency accumulator merged across nodes (ns). */
     RunningStat missLatencyStat;
     /** Miss-latency distribution merged across nodes (ns). */
-    Histogram missLatencyHist{CacheController::kMissLatencyHistLoNs,
-                              CacheController::kMissLatencyHistHiNs,
-                              CacheController::kMissLatencyHistBuckets};
+    Histogram missLatencyHist;
 
     /** Dump everything into the unified metric schema under
      *  "numa.": counters, the miss-latency stat and its histogram. */

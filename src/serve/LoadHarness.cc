@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <thread>
@@ -25,12 +26,6 @@ namespace
 /** Per-worker accumulators, merged after the pool drains. */
 struct WorkerOutput
 {
-    WorkerOutput(double hist_max_ns, std::size_t buckets)
-        : opLatencyNs(0.0, hist_max_ns, buckets),
-          missLatencyNs(0.0, hist_max_ns, buckets)
-    {
-    }
-
     Histogram opLatencyNs;
     Histogram missLatencyNs;
 };
@@ -101,10 +96,6 @@ HarnessConfig::fromArgs(const CliArgs &args)
 void
 HarnessConfig::validate() const
 {
-    if (histBuckets == 0)
-        throw ConfigError("latency histogram needs at least one bucket");
-    if (histMaxNs <= 0.0)
-        throw ConfigError("latency histogram upper edge must be > 0");
     if (targetQps < 0.0)
         throw ConfigError("target QPS must be non-negative");
 }
@@ -236,6 +227,52 @@ HarnessResult::exportMetrics(MetricRegistry &registry) const
     registry.mergeHistogram("serve.miss_latency_ns", missLatencyNs);
 }
 
+OpPlan
+planOps(const HarnessConfig &config, unsigned parts,
+        const std::function<std::size_t(std::uint64_t, const Op &)>
+            &place)
+{
+    OpPlan plan;
+    plan.parts.resize(parts);
+    const auto reserve = [&] {
+        for (auto &ops : plan.parts)
+            ops.reserve(static_cast<std::size_t>(plan.ops / parts + 1));
+    };
+    if (config.replayPath.empty()) {
+        CSR_TRACE_SPAN("serve", "harness.generate");
+        plan.ops = config.ops;
+        reserve();
+        KeyGenerator gen(config.mix, config.seed);
+        for (std::uint64_t i = 0; i < plan.ops; ++i) {
+            const Op op = gen.next();
+            plan.parts[place(i, op)].push_back(op);
+        }
+        return plan;
+    }
+    CSR_TRACE_SPAN("serve", "harness.load_trace");
+    replay::TraceReader reader(config.replayPath);
+    plan.ops = config.ops ? std::min(config.ops, reader.recordCount())
+                          : reader.recordCount();
+    reserve();
+    replay::ReplayBlock block;
+    std::uint64_t i = 0;
+    for (std::uint64_t b = 0; b < reader.blockCount() && i < plan.ops;
+         ++b) {
+        reader.readBlock(b, block);
+        for (std::size_t r = 0; r < block.size() && i < plan.ops;
+             ++r, ++i) {
+            Op op;
+            op.key = block.key[r];
+            op.write = block.op[r] ==
+                       static_cast<std::uint8_t>(replay::TraceOp::Set);
+            op.del = block.op[r] ==
+                     static_cast<std::uint8_t>(replay::TraceOp::Del);
+            plan.parts[place(i, op)].push_back(op);
+        }
+    }
+    return plan;
+}
+
 HarnessResult
 runLoad(CacheService &service, const HarnessConfig &config)
 {
@@ -244,61 +281,17 @@ runLoad(CacheService &service, const HarnessConfig &config)
     const unsigned workers =
         config.workers ? config.workers : ThreadPool::defaultThreads();
 
-    // Generate (or decode) the whole op stream up front, then
-    // partition it.  With shard affinity every op lands with the
-    // worker that owns its shard, so per-shard op order is the global
-    // stream order for any worker count; the strided split instead
-    // makes workers contend on the shard locks.
-    std::uint64_t total_ops = config.ops;
-    std::vector<std::vector<Op>> plan(workers);
-    const auto place = [&](std::uint64_t i, const Op &op) {
-        const std::size_t w =
-            config.shardAffinity
-                ? service.shardOf(op.key) % workers
-                : static_cast<std::size_t>(i) % workers;
-        plan[w].push_back(op);
-    };
-    if (config.replayPath.empty()) {
-        CSR_TRACE_SPAN("serve", "harness.generate");
-        for (auto &ops : plan)
-            ops.reserve(
-                static_cast<std::size_t>(total_ops / workers + 1));
-        KeyGenerator gen(config.mix, config.seed);
-        for (std::uint64_t i = 0; i < total_ops; ++i)
-            place(i, gen.next());
-    } else {
-        CSR_TRACE_SPAN("serve", "harness.load_trace");
-        replay::TraceReader reader(config.replayPath);
-        total_ops = config.ops
-                        ? std::min(config.ops, reader.recordCount())
-                        : reader.recordCount();
-        for (auto &ops : plan)
-            ops.reserve(
-                static_cast<std::size_t>(total_ops / workers + 1));
-        replay::ReplayBlock block;
-        std::uint64_t i = 0;
-        for (std::uint64_t b = 0;
-             b < reader.blockCount() && i < total_ops; ++b) {
-            reader.readBlock(b, block);
-            for (std::size_t r = 0;
-                 r < block.size() && i < total_ops; ++r, ++i) {
-                Op op;
-                op.key = block.key[r];
-                op.write = block.op[r] ==
-                           static_cast<std::uint8_t>(
-                               replay::TraceOp::Set);
-                op.del = block.op[r] ==
-                         static_cast<std::uint8_t>(
-                             replay::TraceOp::Del);
-                place(i, op);
-            }
-        }
-    }
-
-    std::vector<WorkerOutput> outputs;
-    outputs.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        outputs.emplace_back(config.histMaxNs, config.histBuckets);
+    // With shard affinity every op lands with the worker that owns
+    // its shard, so per-shard op order is the global stream order for
+    // any worker count; the strided split instead makes workers
+    // contend on the shard locks.
+    const OpPlan plan = planOps(
+        config, workers, [&](std::uint64_t i, const Op &op) {
+            return config.shardAffinity
+                       ? service.shardOf(op.key) % workers
+                       : static_cast<std::size_t>(i % workers);
+        });
+    std::vector<WorkerOutput> outputs(workers);
 
     // Closed-loop pacing: each worker owns a 1/workers slice of the
     // aggregate target rate and spaces its ops on a fixed schedule
@@ -313,7 +306,7 @@ runLoad(CacheService &service, const HarnessConfig &config)
         WorkerOutput &out = outputs[w];
         const auto start = std::chrono::steady_clock::now();
         std::uint64_t n = 0;
-        for (const Op &op : plan[w]) {
+        for (const Op &op : plan.parts[w]) {
             if (interval_sec > 0.0) {
                 const auto deadline =
                     start + std::chrono::duration_cast<
@@ -333,19 +326,19 @@ runLoad(CacheService &service, const HarnessConfig &config)
                                            harnessPayload(config.seed,
                                                           op.key))
                              : service.get(op.key);
-            const double real_ns =
-                std::chrono::duration<double, std::nano>(
+            const auto real_ns = static_cast<std::uint64_t>(
+                std::chrono::nanoseconds(
                     std::chrono::steady_clock::now() - t0)
-                    .count();
+                    .count());
+            const auto backend_ns =
+                static_cast<std::uint64_t>(std::llround(result.backendNs));
             // Simulated backend latency is modelled, not slept, so it
             // is added on top of the measured in-cache time -- unless
             // the backend spins, in which case it is already in there.
-            const double op_ns =
-                real_ns +
-                (config.backendIsReal ? 0.0 : result.backendNs);
-            out.opLatencyNs.add(op_ns);
+            out.opLatencyNs.add(real_ns +
+                                (config.backendIsReal ? 0 : backend_ns));
             if (!op.write && !op.del && !result.hit)
-                out.missLatencyNs.add(result.backendNs);
+                out.missLatencyNs.add(backend_ns);
             ++n;
         }
     };
@@ -358,12 +351,12 @@ runLoad(CacheService &service, const HarnessConfig &config)
         parallelFor(pool, workers, worker_fn);
     }
 
-    HarnessResult result(config.histMaxNs, config.histBuckets);
+    HarnessResult result;
     result.wallSec = wall.elapsedSec();
-    result.ops = total_ops;
+    result.ops = plan.ops;
     result.workers = workers;
     result.qps = result.wallSec > 0.0
-                     ? static_cast<double>(total_ops) / result.wallSec
+                     ? static_cast<double>(plan.ops) / result.wallSec
                      : 0.0;
     for (const WorkerOutput &out : outputs) {
         result.opLatencyNs.merge(out.opLatencyNs);

@@ -29,8 +29,10 @@
 #define CSR_SERVE_LOADHARNESS_H
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "serve/CacheService.h"
 #include "serve/KeyGenerator.h"
@@ -70,9 +72,6 @@ struct HarnessConfig
      *  simulated latency is then already inside the measured op time
      *  and must not be added again. */
     bool backendIsReal = false;
-    /** Shape of the latency histograms. */
-    double histMaxNs = 131072.0;
-    std::size_t histBuckets = 1024;
 
     /**
      * Read --ops --workers --qps --affinity --spin --replay plus the
@@ -83,7 +82,7 @@ struct HarnessConfig
      */
     static HarnessConfig fromArgs(const CliArgs &args);
 
-    /** @throws ConfigError on invalid pacing/histogram parameters. */
+    /** @throws ConfigError on invalid pacing parameters. */
     void validate() const;
 };
 
@@ -96,12 +95,6 @@ std::uint64_t harnessPayload(std::uint64_t seed, Addr key);
 /** Everything one harness run produced. */
 struct HarnessResult
 {
-    HarnessResult(double hist_max_ns, std::size_t buckets)
-        : opLatencyNs(0.0, hist_max_ns, buckets),
-          missLatencyNs(0.0, hist_max_ns, buckets)
-    {
-    }
-
     ServeTotals totals;      ///< deterministic service counters
     std::uint64_t ops = 0;
     unsigned workers = 1;
@@ -130,6 +123,24 @@ struct HarnessResult
      *  latency histograms). */
     void exportMetrics(MetricRegistry &registry) const;
 };
+
+/** An op stream split into parts, each in global stream order. */
+struct OpPlan
+{
+    std::vector<std::vector<Op>> parts;
+    std::uint64_t ops = 0; ///< stream length (all parts together)
+};
+
+/**
+ * Build @p config's op stream -- generated from (mix, seed), or
+ * decoded from the .csrt trace at replayPath -- bounded by ops (0
+ * with a trace = the whole trace), and deal it into @p parts lists:
+ * op i goes to part place(i, op).  The one planner of the in-process
+ * workers and the wire client's connections.
+ */
+OpPlan planOps(const HarnessConfig &config, unsigned parts,
+               const std::function<std::size_t(std::uint64_t,
+                                               const Op &)> &place);
 
 /**
  * Run @p config's op stream against @p service.  The service's

@@ -1,13 +1,10 @@
 #include "serve/net/ClientLoad.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
-#include "replay/Format.h"
-#include "replay/TraceReader.h"
 #include "robust/Errors.h"
 #include "serve/net/NetCommon.h"
 #include "serve/net/RespClient.h"
@@ -26,11 +23,6 @@ namespace
 /** Per-connection accumulators, merged after the threads join. */
 struct ConnOutput
 {
-    ConnOutput(double hist_max_ns, std::size_t buckets)
-        : opLatencyNs(0.0, hist_max_ns, buckets)
-    {
-    }
-
     std::uint64_t gets = 0;
     std::uint64_t sets = 0;
     std::uint64_t dels = 0;
@@ -103,53 +95,16 @@ runClientLoad(const ClientConfig &config)
 {
     config.validate();
 
-    // Same stream, same order as runLoad() -- then partitioned by
-    // owning server shard so each shard's subsequence arrives in
-    // global stream order over exactly one connection.
-    std::uint64_t total_ops = config.harness.ops;
-    std::vector<std::vector<Op>> plan(config.connections);
-    const auto place = [&](const Op &op) {
-        plan[wireShardOf(op.key, config.serverShards) %
-             config.connections]
-            .push_back(op);
-    };
-    if (config.harness.replayPath.empty()) {
-        CSR_TRACE_SPAN("net", "client.generate");
-        KeyGenerator gen(config.harness.mix, config.harness.seed);
-        for (std::uint64_t i = 0; i < total_ops; ++i)
-            place(gen.next());
-    } else {
-        CSR_TRACE_SPAN("net", "client.load_trace");
-        replay::TraceReader reader(config.harness.replayPath);
-        total_ops =
-            config.harness.ops
-                ? std::min(config.harness.ops, reader.recordCount())
-                : reader.recordCount();
-        replay::ReplayBlock block;
-        std::uint64_t i = 0;
-        for (std::uint64_t b = 0;
-             b < reader.blockCount() && i < total_ops; ++b) {
-            reader.readBlock(b, block);
-            for (std::size_t r = 0;
-                 r < block.size() && i < total_ops; ++r, ++i) {
-                Op op;
-                op.key = block.key[r];
-                op.write = block.op[r] ==
-                           static_cast<std::uint8_t>(
-                               replay::TraceOp::Set);
-                op.del = block.op[r] ==
-                         static_cast<std::uint8_t>(
-                             replay::TraceOp::Del);
-                place(op);
-            }
-        }
-    }
-
-    std::vector<ConnOutput> outputs;
-    outputs.reserve(config.connections);
-    for (unsigned c = 0; c < config.connections; ++c)
-        outputs.emplace_back(config.harness.histMaxNs,
-                             config.harness.histBuckets);
+    // Same stream, same order as runLoad() -- partitioned by owning
+    // server shard so each shard's subsequence arrives in global
+    // stream order over exactly one connection.
+    const OpPlan plan = planOps(
+        config.harness, config.connections,
+        [&](std::uint64_t, const Op &op) -> std::size_t {
+            return wireShardOf(op.key, config.serverShards) %
+                   config.connections;
+        });
+    std::vector<ConnOutput> outputs(config.connections);
 
     // Worker threads may throw (refused connect, timeout); the first
     // exception wins and is rethrown on the caller's thread.
@@ -170,10 +125,9 @@ runClientLoad(const ClientConfig &config)
 
         const auto readOne = [&](char verb) {
             const RespClient::Reply reply = client.readReply();
-            out.opLatencyNs.add(
-                std::chrono::duration<double, std::nano>(
-                    Clock::now() - sent_at)
-                    .count());
+            out.opLatencyNs.add(static_cast<std::uint64_t>(
+                std::chrono::nanoseconds(Clock::now() - sent_at)
+                    .count()));
             if (reply.isError()) {
                 if (reply.text.rfind("BUSY", 0) == 0)
                     ++out.busy;
@@ -203,7 +157,7 @@ runClientLoad(const ClientConfig &config)
             window.clear();
         };
 
-        for (const Op &op : plan[c]) {
+        for (const Op &op : plan.parts[c]) {
             if (op.del) {
                 client.send({"DEL", std::to_string(op.key)});
                 ++out.dels;
@@ -244,14 +198,13 @@ runClientLoad(const ClientConfig &config)
     if (failed.load())
         std::rethrow_exception(failure);
 
-    ClientResult result(config.harness.histMaxNs,
-                        config.harness.histBuckets);
+    ClientResult result;
     result.harness.wallSec = wall.elapsedSec();
-    result.harness.ops = total_ops;
+    result.harness.ops = plan.ops;
     result.harness.workers = config.connections;
     result.harness.qps =
         result.harness.wallSec > 0.0
-            ? static_cast<double>(total_ops) /
+            ? static_cast<double>(plan.ops) /
                   result.harness.wallSec
             : 0.0;
     for (const ConnOutput &out : outputs) {

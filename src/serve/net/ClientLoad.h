@@ -78,11 +78,6 @@ struct ClientResult
     /** Replies whose type did not match the verb (0 expected). */
     std::uint64_t typeMismatches = 0;
 
-    ClientResult(double hist_max_ns, std::size_t buckets)
-        : harness(hist_max_ns, buckets)
-    {
-    }
-
     /** sentGets == server gets && sentSets == server stores: true
      *  exactly when this client was the fresh server's only
      *  traffic -- the loopback CI check. */

@@ -358,10 +358,8 @@ Connection::fillSlot(std::uint64_t slot, std::string reply_text)
     s.ready = true;
     --unfilled_;
     ctx_.load.pendingOps.fetch_sub(1, std::memory_order_relaxed);
-    ctx_.stats.wireLatencyNs.add(
-        std::chrono::duration<double, std::nano>(Clock::now() -
-                                                 s.start)
-            .count());
+    ctx_.stats.wireLatencyNs.add(static_cast<std::uint64_t>(
+        std::chrono::nanoseconds(Clock::now() - s.start).count()));
     flushReady();
     queueTurnEnd();
 }

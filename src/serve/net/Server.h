@@ -106,7 +106,7 @@ struct NetStats
     std::uint64_t epollCtls = 0;
     std::uint64_t wakeWrites = 0;
     /** Complete only after stop() (loop-thread-local until then). */
-    Histogram wireLatencyNs{0.0, 1.0e7, 512};
+    Histogram wireLatencyNs;
 };
 
 /** What one graceful drain accomplished (the net.drain.* block). */

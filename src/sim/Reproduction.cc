@@ -663,8 +663,8 @@ runTable5(WorkloadScale scale, unsigned jobs, ReproRun &run)
         // The miss-latency distributions of LRU and DCL sit next to
         // the means: the speedups come from shifting them.
         TextTable latency(freq + " miss latency (ns)");
-        latency.setHeader({"Series", "Samples", "p50 (ns)", "p90 (ns)",
-                           "p99 (ns)", "overflow"});
+        latency.setHeader(
+            {"Series", "Samples", "p50 (ns)", "p90 (ns)", "p99 (ns)"});
         for (std::size_t b = 0; b < results[p].size(); ++b) {
             const std::string name = benchmarkNames()[b];
             const VsLru &res = results[p][b];
@@ -688,8 +688,7 @@ runTable5(WorkloadScale scale, unsigned jobs, ReproRun &run)
                                 TextTable::count(hist->totalCount()),
                                 TextTable::num(hist->percentile(0.50), 1),
                                 TextTable::num(hist->percentile(0.90), 1),
-                                TextTable::num(hist->percentile(0.99), 1),
-                                TextTable::count(hist->overflow())});
+                                TextTable::num(hist->percentile(0.99), 1)});
         }
         table.print(run.out);
         run.out << "\n";

@@ -499,6 +499,7 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
     struct Slot
     {
         Outcome outcome = Outcome::Pending;
+        bool restored = false; ///< from the checkpoint, not run here
         SweepCellResult result;
         CellFailure failure;
     };
@@ -526,6 +527,7 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
         // again, and the loader lets the later line win.
         for (auto &[index, res] : restored.results) {
             slots[index].outcome = Outcome::Ok;
+            slots[index].restored = true;
             slots[index].result = std::move(res);
         }
         resumed = restored.results.size();
@@ -587,7 +589,6 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
     // The guard around each attempt is what keeps one bad cell from
     // taking the grid down: typed failures are recorded, retried up
     // to maxAttempts, and finally journaled as CellFailures.
-    ParallelTiming timing;
     parallelFor(pool, cells.size(), [&](std::size_t i) {
         Slot &slot = slots[i];
         if (slot.outcome != Outcome::Pending)
@@ -666,7 +667,6 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
 
         if (slot.outcome == Outcome::Ok) {
             slot.result.taskSec = task_timer.elapsedSec();
-            timing.recordTask(slot.result.taskSec);
             if (journal.isOpen())
                 journal.appendLine(checkpointCellLine(slot.result));
         } else if (journal.isOpen()) {
@@ -675,17 +675,22 @@ SweepRunner::run(const SweepGrid &grid, const SweepOptions &options) const
     });
 
     // Compact the slots into grid order: successes first-class,
-    // failures as the appendix.
+    // failures as the appendix.  Task time sums the cells this
+    // invocation ran, not the ones restored from the checkpoint.
     for (Slot &slot : slots) {
-        if (slot.outcome == Outcome::Ok)
+        if (slot.outcome == Outcome::Ok) {
+            if (!slot.restored) {
+                result.taskSecTotal += slot.result.taskSec;
+                result.taskSecMax =
+                    std::max(result.taskSecMax, slot.result.taskSec);
+            }
             result.cells.push_back(std::move(slot.result));
-        else
+        } else {
             result.failures.push_back(std::move(slot.failure));
+        }
     }
 
     result.wallSec = total.elapsedSec();
-    result.taskSecTotal = timing.taskSecTotal();
-    result.taskSecMax = timing.taskSecMax();
     return result;
 }
 

@@ -52,19 +52,12 @@ MetricRegistry::recordTimerSec(std::string_view name, double seconds)
 }
 
 Histogram &
-MetricRegistry::histogram(std::string_view name, double lo, double hi,
-                          std::size_t buckets)
+MetricRegistry::histogram(std::string_view name)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = histograms_.lower_bound(name);
-    if (it == histograms_.end() || it->first != name) {
-        it = histograms_.emplace_hint(it, std::string(name),
-                                      Histogram(lo, hi, buckets));
-    } else {
-        csr_assert(it->second.sameShape(Histogram(lo, hi, buckets)),
-                   "histogram '%.*s' re-registered with another shape",
-                   static_cast<int>(name.size()), name.data());
-    }
+    if (it == histograms_.end() || it->first != name)
+        it = histograms_.emplace_hint(it, std::string(name), Histogram());
     return it->second;
 }
 
@@ -92,9 +85,6 @@ MetricRegistry::mergeHistogram(std::string_view name,
         histograms_.emplace_hint(it, std::string(name), other);
         return;
     }
-    csr_assert(it->second.sameShape(other),
-               "histogram '%.*s' merged with another shape",
-               static_cast<int>(name.size()), name.data());
     it->second.merge(other);
 }
 
@@ -266,12 +256,20 @@ MetricRegistry::writeJson(std::ostream &os) const
         os << (first ? "\n    " : ",\n    ");
         first = false;
         writeJsonString(os, name);
-        os << ": {\"lo\": " << numStr(value.bucketLo(0))
-           << ", \"bucketWidth\": " << numStr(value.bucketWidth())
-           << ", \"underflow\": " << value.underflow()
-           << ", \"overflow\": " << value.overflow() << ", \"counts\": [";
-        for (std::size_t i = 0; i < value.numBuckets(); ++i)
-            os << (i ? ", " : "") << value.bucketCount(i);
+        const bool any = value.totalCount() > 0;
+        os << ": {\"count\": " << value.totalCount() << ", \"min\": "
+           << (any ? std::to_string(value.min()) : "null")
+           << ", \"max\": "
+           << (any ? std::to_string(value.max()) : "null")
+           << ", \"buckets\": [";
+        const char *sep = "";
+        for (std::size_t i = 0; i < value.numBuckets(); ++i) {
+            if (value.bucketCount(i) == 0)
+                continue;
+            os << sep << "[" << Histogram::bucketLo(i) << ", "
+               << value.bucketCount(i) << "]";
+            sep = ", ";
+        }
         os << "]}";
     }
     if (!histograms_.empty())

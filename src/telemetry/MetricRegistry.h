@@ -16,10 +16,14 @@
  *     "stats":      { "name": {"count":..,"mean":..,"stddev":..,
  *                              "min":..,"max":..}, ... },
  *     "timersSec":  { same shape as stats, unit seconds },
- *     "histograms": { "name": {"lo":..,"bucketWidth":..,
- *                              "underflow":..,"overflow":..,
- *                              "counts":[..]}, ... }
+ *     "histograms": { "name": {"count":..,"min":..,"max":..,
+ *                              "buckets":[[lo, count], ..]}, ... }
  *   }
+ *
+ * A histogram's "buckets" lists only its non-empty buckets of the
+ * log-linear Histogram (util/Stats.h), each as [inclusive lower
+ * edge, samples]; the counts sum to "count".  An empty histogram has
+ * "min" and "max" null.
  *
  * The registry is a reporting-path object: build/merge it after a run
  * (or from one thread), then dump it.  Map mutations are mutex-
@@ -61,10 +65,8 @@ class MetricRegistry
     /** Named timer: a RunningStat of seconds. */
     void recordTimerSec(std::string_view name, double seconds);
 
-    /** Named histogram; created with the given shape if absent (an
-     *  existing histogram keeps its shape; fatal on a shape clash). */
-    Histogram &histogram(std::string_view name, double lo, double hi,
-                         std::size_t buckets);
+    /** Named histogram (created empty if absent). */
+    Histogram &histogram(std::string_view name);
 
     // --- merging ----------------------------------------------------------
 
@@ -74,7 +76,7 @@ class MetricRegistry
     /** Merge @p other into the named stat. */
     void mergeStat(std::string_view name, const RunningStat &other);
     /** Merge @p other into the named histogram (created as a copy if
-     *  absent; fatal on a shape clash). */
+     *  absent). */
     void mergeHistogram(std::string_view name, const Histogram &other);
     /** Merge every metric of @p other into this registry. */
     void merge(const MetricRegistry &other);

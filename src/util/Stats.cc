@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/Logging.h"
-
 namespace csr
 {
 
@@ -65,108 +63,63 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    csr_assert(hi > lo && buckets > 0, "bad histogram shape");
-}
-
 void
-Histogram::add(double x, std::uint64_t weight)
+Histogram::grow(std::size_t idx)
 {
-    if (x < lo_) {
-        underflow_ += weight;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) {
-        overflow_ += weight;
-        return;
-    }
-    counts_[idx] += weight;
+    counts_.resize(idx + 1, 0);
 }
 
 void
 Histogram::merge(const Histogram &other)
 {
-    csr_assert(sameShape(other), "merging histograms of different shape");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
+    if (other.counts_.size() > counts_.size())
+        counts_.resize(other.counts_.size(), 0);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i)
         counts_[i] += other.counts_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    underflow_ = overflow_ = 0;
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
+    total_ += other.total_;
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
 }
 
 std::uint64_t
-Histogram::totalCount() const
+Histogram::bucketLo(std::size_t i)
 {
-    std::uint64_t total = underflow_ + overflow_;
-    for (auto c : counts_)
-        total += c;
-    return total;
+    constexpr std::size_t kSub = std::size_t{1} << kSubBits;
+    if (i < 2 * kSub)
+        return i;
+    // i = (shift << kSubBits) + (v >> shift), where v >> shift is in
+    // [kSub, 2 * kSub): the top bits name the shift, the low bits the
+    // sub-bucket.
+    const std::size_t shift = i / kSub - 1;
+    return static_cast<std::uint64_t>(i % kSub + kSub) << shift;
 }
 
 double
 Histogram::percentile(double frac) const
 {
-    const std::uint64_t total = totalCount();
-    if (total == 0)
-        return lo_;
+    if (total_ == 0)
+        return 0.0;
     frac = std::clamp(frac, 0.0, 1.0);
-    // Rank of the sample that realizes the percentile, 1-based.  The
-    // ceiling (with a floor of one, so p0 means "the smallest
-    // sample") keeps the old near-median behaviour while pinning the
-    // endpoints: p100 lands on the last populated bucket instead of
-    // overshooting, p0 on the first instead of always reporting
-    // bucket 0's edge.
-    auto target = static_cast<std::uint64_t>(
-        std::ceil(frac * static_cast<double>(total)));
-    if (target == 0)
-        target = 1;
-    if (target <= underflow_)
-        return lo_;
-    std::uint64_t seen = underflow_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        seen += counts_[i];
-        if (seen >= target)
-            return bucketLo(i) + width_;
-    }
-    // The remaining mass sits in the overflow bucket.
-    return bucketLo(counts_.size() - 1) + width_;
-}
-
-void
-ParallelTiming::recordTask(double seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.add(seconds);
-}
-
-double
-ParallelTiming::taskSecTotal() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.sum();
-}
-
-double
-ParallelTiming::taskSecMax() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.max();
+    auto rank = static_cast<std::uint64_t>(
+        std::ceil(frac * static_cast<double>(total_)));
+    if (rank <= 1)
+        return static_cast<double>(min());
+    if (rank >= total_)
+        return static_cast<double>(max_);
+    std::uint64_t seen = 0;
+    std::size_t i = 0;
+    while ((seen += counts_[i]) < rank)
+        ++i;
+    // Midpoint of the bucket's integer range [lo, lo + width - 1],
+    // kept inside the observed extremes.
+    const std::uint64_t width =
+        i < (std::size_t{2} << kSubBits)
+            ? 1
+            : std::uint64_t{1} << ((i >> kSubBits) - 1);
+    const double mid = static_cast<double>(bucketLo(i)) +
+                       static_cast<double>(width - 1) / 2.0;
+    return std::clamp(mid, static_cast<double>(min_),
+                      static_cast<double>(max_));
 }
 
 void

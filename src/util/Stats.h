@@ -4,17 +4,19 @@
  *
  * The simulators accumulate large numbers of per-event samples (miss
  * latencies, reservation outcomes, per-set activity).  These helpers
- * provide numerically stable means/variances, fixed-bucket histograms
+ * provide numerically stable means/variances, log-linear histograms
  * and a named-counter registry that benches can dump uniformly.
  */
 
 #ifndef CSR_UTIL_STATS_H
 #define CSR_UTIL_STATS_H
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,50 +57,74 @@ class RunningStat
 };
 
 /**
- * Fixed-width bucket histogram over [lo, hi) with overflow/underflow
- * buckets.  Used e.g. for miss-latency distributions.
+ * Log-linear (HDR-style) histogram of non-negative integers, e.g.
+ * latencies in nanoseconds.  Values below 128 have a bucket each;
+ * above that every power of two [2^e, 2^(e+1)) is split into 64
+ * equal sub-buckets, so a bucket is never wider than 1/64 of its
+ * lower edge and a percentile reported at its midpoint is within
+ * 1/128 (0.8%) of the exact order statistic.  There is no upper
+ * bound and no shape to choose: any two histograms merge.  Exact
+ * min and max are kept, so p0 and p100 are exact.
+ *
+ * Buckets are allocated up to the highest one seen, so an add()
+ * into an already covered range allocates nothing.
  */
 class Histogram
 {
   public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x, std::uint64_t weight = 1);
-    void reset();
-
-    /** Merge another histogram of identical shape (parallel
-     *  reduction); panics on a shape mismatch. */
-    void merge(const Histogram &other);
-
-    /** True when both histograms cover the same buckets. */
-    bool sameShape(const Histogram &other) const
+    void add(std::uint64_t value)
     {
-        return lo_ == other.lo_ && width_ == other.width_ &&
-               counts_.size() == other.counts_.size();
+        const std::size_t idx = bucketOf(value);
+        if (idx >= counts_.size())
+            grow(idx);
+        ++counts_[idx];
+        ++total_;
+        min_ = std::min(min_, value);
+        max_ = std::max(max_, value);
     }
 
+    /** Add every sample of @p other (parallel reduction). */
+    void merge(const Histogram &other);
+
+    /** Buckets allocated so far (all buckets past these are empty). */
     std::size_t numBuckets() const { return counts_.size(); }
-    double bucketWidth() const { return width_; }
     std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    /** Inclusive lower edge of bucket i. */
-    double bucketLo(std::size_t i) const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t totalCount() const;
-    /** Smallest value v such that at least frac of the mass is <= v
-     *  (approximated at bucket granularity).  @p frac is clamped to
-     *  [0,1]; an empty histogram reports lo(), p0 the first populated
-     *  bucket's upper edge (lo() when the mass starts in the
-     *  underflow bucket), and p100 the last populated bucket's upper
-     *  edge (the top edge when mass overflows). */
+    /** Smallest value that lands in bucket @p i. */
+    static std::uint64_t bucketLo(std::size_t i);
+
+    std::uint64_t totalCount() const { return total_; }
+    /** Exact extremes (0 when empty). */
+    std::uint64_t min() const { return total_ ? min_ : 0; }
+    std::uint64_t max() const { return max_; }
+
+    /** The nearest-rank order statistic at @p frac (clamped to
+     *  [0,1]): the sample of 1-based rank max(1, ceil(frac * n)).
+     *  p0 and p100 are the exact min and max; in between it is the
+     *  midpoint of the bucket holding that sample, within 1% of it.
+     *  An empty histogram reports 0. */
     double percentile(double frac) const;
 
   private:
-    double lo_;
-    double width_;
+    /** 2^kSubBits sub-buckets per power of two. */
+    static constexpr unsigned kSubBits = 6;
+
+    static std::size_t bucketOf(std::uint64_t v)
+    {
+        if (v < (2u << kSubBits))
+            return static_cast<std::size_t>(v);
+        const unsigned shift =
+            static_cast<unsigned>(std::bit_width(v)) - 1 - kSubBits;
+        return (static_cast<std::size_t>(shift) << kSubBits) +
+               static_cast<std::size_t>(v >> shift);
+    }
+
+    /** add()'s cold path: extend counts_ to cover bucket @p idx. */
+    void grow(std::size_t idx);
+
     std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
+    std::uint64_t total_ = 0;
+    std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t max_ = 0;
 };
 
 /**
@@ -159,26 +185,6 @@ class WallTimer
 
   private:
     std::chrono::steady_clock::time_point start_;
-};
-
-/**
- * Timing summary for a batch of parallel tasks: workers record the
- * wall-clock seconds of each task (thread-safe).  Task-seconds over
- * the batch's wall time is how the sweep engine makes its
- * parallelism observable.
- */
-class ParallelTiming
-{
-  public:
-    /** Record one finished task (safe to call from any thread). */
-    void recordTask(double seconds);
-
-    double taskSecTotal() const;
-    double taskSecMax() const;
-
-  private:
-    mutable std::mutex mutex_;
-    RunningStat tasks_;
 };
 
 } // namespace csr

@@ -456,6 +456,25 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkRuns,
                              return benchmarkName(info.param);
                          });
 
+TEST(MissLatencyHistogram, MergedHistogramAccountsForEveryMiss)
+{
+    // Ocean at test scale under LRU (Table 5's 500 MHz baseline) has
+    // misses slower than 3.2 us, past where a 0-3200 ns histogram
+    // would clamp; the merged histogram sees every sample and reports
+    // the slowest one exactly.
+    auto wl = makeWorkload(BenchmarkId::Ocean, WorkloadScale::Test, true);
+    NumaConfig config;
+    config.policy = PolicyKind::Lru;
+    NumaSystem sys(config, *wl);
+    const NumaResult res = sys.run();
+    const Histogram &hist = res.missLatencyHist;
+    ASSERT_GT(res.missLatencyStat.count(), 0u);
+    EXPECT_EQ(hist.totalCount(), res.missLatencyStat.count());
+    EXPECT_EQ(hist.percentile(1.0), res.missLatencyStat.max());
+    EXPECT_EQ(hist.percentile(0.0), res.missLatencyStat.min());
+    EXPECT_LE(hist.percentile(0.99), hist.percentile(1.0));
+}
+
 // ---------------------------------------------------------------------------
 // Latency correlator (Table 3 machinery)
 // ---------------------------------------------------------------------------

@@ -794,7 +794,7 @@ TEST(LoadHarness, JsonOutputIsValid)
 
     // A result nobody timed (a server's exit report) writes null for
     // what it never measured, the "n/a" of timingTable(), not 0.
-    const HarnessResult untimed(1e6, 16);
+    const HarnessResult untimed;
     std::ostringstream empty;
     untimed.writeJsonObject(empty, "lru", "none");
     JsonValidator emptyValidator(empty.str());
@@ -806,14 +806,30 @@ TEST(LoadHarness, JsonOutputIsValid)
     EXPECT_EQ(empty.str().find("\"p99\": 0"), std::string::npos);
 }
 
+TEST(LoadHarness, SlowOpsAreNotClampedInTheTimingTable)
+{
+    // Latencies past 131.07 us, where a fixed-range histogram of
+    // 1024 x 128 ns buckets clamps, print as measured: 200 us, to
+    // within 1%.
+    HarnessResult result;
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        result.opLatencyNs.add(199'000 + 2 * i);
+    std::ostringstream os;
+    result.timingTable().print(os);
+    const std::string table = os.str();
+    const std::string label = "op latency p99 us";
+    const std::size_t row = table.find(label);
+    ASSERT_NE(row, std::string::npos) << table;
+    const double p99_us = std::stod(table.substr(
+        table.find_first_of("0123456789", row + label.size())));
+    EXPECT_NEAR(p99_us, 200.0, 2.0) << table;
+}
+
 TEST(LoadHarness, RejectsBadConfig)
 {
     SyntheticBackend backend(SyntheticBackendConfig{});
     CacheService service(smallServeConfig(PolicyKind::Lru), backend);
     HarnessConfig config = smallHarnessConfig(100, 1);
-    config.histBuckets = 0;
-    EXPECT_THROW(runLoad(service, config), ConfigError);
-    config = smallHarnessConfig(100, 1);
     config.targetQps = -1.0;
     EXPECT_THROW(runLoad(service, config), ConfigError);
 }

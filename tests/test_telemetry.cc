@@ -331,13 +331,15 @@ TEST(MetricRegistry, CountersStatsTimersHistograms)
     registry.stat("a.stat").add(1.0);
     registry.stat("a.stat").add(3.0);
     registry.recordTimerSec("a.timer", 0.25);
-    registry.histogram("a.hist", 0.0, 10.0, 5).add(4.0);
+    registry.histogram("a.hist").add(4);
+    registry.histogram("a.hist").add(40'000);
 
     EXPECT_EQ(registry.counter("a.count"), 5u);
     EXPECT_EQ(registry.counter("a.fixed"), 7u);
     EXPECT_EQ(registry.counter("absent"), 0u);
     EXPECT_DOUBLE_EQ(registry.statOf("a.stat").mean(), 2.0);
-    EXPECT_EQ(registry.histogramOf("a.hist")->totalCount(), 1u);
+    EXPECT_EQ(registry.histogramOf("a.hist")->totalCount(), 2u);
+    EXPECT_EQ(registry.histogramOf("a.hist")->max(), 40'000u);
     EXPECT_EQ(registry.histogramOf("absent"), nullptr);
     EXPECT_FALSE(registry.empty());
 }
@@ -348,7 +350,9 @@ TEST(MetricRegistry, WritesValidJsonSchema)
     registry.incCounter("counter.one", 11);
     registry.stat("stat.one").add(2.5);
     registry.recordTimerSec("timer.one", 1.5);
-    registry.histogram("hist.one", 0.0, 8.0, 4).add(3.0);
+    for (std::uint64_t v : {3, 3, 200, 201, 1'000'000})
+        registry.histogram("hist.one").add(v);
+    registry.histogram("hist.empty");
 
     std::ostringstream os;
     registry.writeJson(os);
@@ -360,6 +364,33 @@ TEST(MetricRegistry, WritesValidJsonSchema)
          {"\"counters\"", "\"stats\"", "\"timersSec\"", "\"histograms\""})
         EXPECT_NE(json.find(section), std::string::npos) << section;
     EXPECT_NE(json.find("\"counter.one\": 11"), std::string::npos);
+    EXPECT_NE(json.find("\"hist.one\": {\"count\": 5, \"min\": 3, "
+                        "\"max\": 1000000, \"buckets\": [[3, 2], [200, "
+                        "2], "),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"hist.empty\": {\"count\": 0, \"min\": null, "
+                        "\"max\": null, \"buckets\": []}"),
+              std::string::npos)
+        << json;
+
+    // Every histogram's bucket counts sum to its count.
+    const std::string key = "\"buckets\": [";
+    std::size_t histograms = 0;
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1), ++histograms) {
+        const std::string head = "{\"count\": ";
+        const std::uint64_t count =
+            std::stoull(json.substr(json.rfind(head, at) + head.size()));
+        const std::size_t end = json.find("]}", at);
+        std::uint64_t sum = 0;
+        // Each bucket is "[lo, n]".
+        for (std::size_t b = json.find('[', at + key.size()); b < end;
+             b = json.find('[', b + 1))
+            sum += std::stoull(json.substr(json.find(", ", b) + 2));
+        EXPECT_EQ(sum, count) << json.substr(at, end - at);
+    }
+    EXPECT_EQ(histograms, 2u);
 }
 
 TEST(MetricRegistry, MergeCombinesEveryKind)
@@ -369,14 +400,15 @@ TEST(MetricRegistry, MergeCombinesEveryKind)
     b.incCounter("c", 2);
     a.stat("s").add(1.0);
     b.stat("s").add(3.0);
-    a.histogram("h", 0.0, 10.0, 5).add(1.0);
-    b.histogram("h", 0.0, 10.0, 5).add(9.0);
+    a.histogram("h").add(1);
+    b.histogram("h").add(90'000);
 
     a.merge(b);
     EXPECT_EQ(a.counter("c"), 3u);
     EXPECT_EQ(a.statOf("s").count(), 2u);
     EXPECT_DOUBLE_EQ(a.statOf("s").mean(), 2.0);
     EXPECT_EQ(a.histogramOf("h")->totalCount(), 2u);
+    EXPECT_EQ(a.histogramOf("h")->percentile(1.0), 90'000.0);
 }
 
 TEST(MetricRegistry, ImportCountersPrefixesStatGroup)

@@ -4,8 +4,10 @@
  * table formatting.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -226,72 +228,150 @@ TEST(RunningStat, EmptyIsZero)
     EXPECT_EQ(s.sum(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
+TEST(Histogram, BucketsAreExactBelow128AndFineAbove)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1);        // underflow
-    h.add(0.5);       // bucket 0
-    h.add(9.99);      // bucket 9
-    h.add(10.0);      // overflow
-    h.add(3.2, 5);    // bucket 3, weight 5
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(3), 5u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.totalCount(), 9u);
+    std::vector<std::uint64_t> values;
+    for (std::uint64_t v = 0; v < 300; ++v)
+        values.push_back(v);
+    for (unsigned e = 7; e < 63; ++e)
+        for (std::uint64_t v : {(std::uint64_t{1} << e) - 1,
+                                std::uint64_t{1} << e,
+                                (std::uint64_t{1} << e) + 12345})
+            values.push_back(v);
+    for (const std::uint64_t v : values) {
+        Histogram h;
+        h.add(v);
+        const std::size_t i = h.numBuckets() - 1;
+        ASSERT_EQ(h.bucketCount(i), 1u) << v;
+        const std::uint64_t lo = Histogram::bucketLo(i);
+        const std::uint64_t next = Histogram::bucketLo(i + 1);
+        EXPECT_LE(lo, v);
+        EXPECT_LT(v, next);
+        if (v < 128)
+            EXPECT_EQ(next - lo, 1u) << v;
+        else
+            EXPECT_LE(next - lo, lo / 64) << v;
+    }
 }
 
 TEST(Histogram, Percentile)
 {
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.percentile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.percentile(0.9), 90.0, 2.0);
+    Histogram h;
+    for (std::uint64_t v = 1; v <= 100; ++v)
+        h.add(v);
+    EXPECT_EQ(h.percentile(0.5), 50.0);
+    EXPECT_EQ(h.percentile(0.9), 90.0);
+    EXPECT_EQ(h.totalCount(), 100u);
 }
 
 TEST(Histogram, PercentileOfEmptyHistogramIsLowerEdge)
 {
-    Histogram h(10.0, 20.0, 5);
-    EXPECT_EQ(h.percentile(0.0), 10.0);
-    EXPECT_EQ(h.percentile(0.5), 10.0);
-    EXPECT_EQ(h.percentile(1.0), 10.0);
+    // The value range starts at 0, and so does an empty histogram.
+    Histogram h;
+    EXPECT_EQ(h.percentile(0.0), 0.0);
+    EXPECT_EQ(h.percentile(0.5), 0.0);
+    EXPECT_EQ(h.percentile(1.0), 0.0);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 0u);
 }
 
 TEST(Histogram, PercentileEndpoints)
 {
-    Histogram h(0.0, 100.0, 100);
-    h.add(30.5);
-    h.add(60.5);
-    // p0 is the first populated bucket's upper edge, p100 the last's.
-    EXPECT_EQ(h.percentile(0.0), 31.0);
-    EXPECT_EQ(h.percentile(1.0), 61.0);
+    Histogram h;
+    h.add(3005);
+    h.add(6007);
+    // p0 and p100 are the exact extremes, not bucket edges.
+    EXPECT_EQ(h.percentile(0.0), 3005.0);
+    EXPECT_EQ(h.percentile(1.0), 6007.0);
     // Out-of-range fractions clamp instead of misbehaving.
-    EXPECT_EQ(h.percentile(-0.5), 31.0);
-    EXPECT_EQ(h.percentile(1.5), 61.0);
-}
-
-TEST(Histogram, PercentileWithUnderflowAndOverflowMass)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-5.0, 4); // 40% of the mass below the range
-    h.add(5.5, 2);
-    h.add(100.0, 4); // 40% above it
-    // Mass in the underflow bucket reports the histogram's lower
-    // edge; mass beyond the top reports the top edge.
-    EXPECT_EQ(h.percentile(0.0), 0.0);
-    EXPECT_EQ(h.percentile(0.3), 0.0);
-    EXPECT_EQ(h.percentile(0.5), 6.0);
-    EXPECT_EQ(h.percentile(1.0), 10.0);
+    EXPECT_EQ(h.percentile(-0.5), 3005.0);
+    EXPECT_EQ(h.percentile(1.5), 6007.0);
 }
 
 TEST(Histogram, PercentileSingleSample)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.add(3.5);
+    Histogram h;
+    h.add(3517);
     for (double frac : {0.0, 0.25, 0.5, 1.0})
-        EXPECT_EQ(h.percentile(frac), 4.0);
+        EXPECT_EQ(h.percentile(frac), 3517.0);
+}
+
+/** Seeded samples log-uniform over [0, 2^40). */
+std::vector<std::uint64_t>
+logUniformSamples(std::uint64_t seed, std::size_t n)
+{
+    Rng rng(seed);
+    std::vector<std::uint64_t> samples(n);
+    for (auto &v : samples)
+        v = static_cast<std::uint64_t>(
+                std::exp2(40.0 * rng.nextDouble())) -
+            1;
+    return samples;
+}
+
+TEST(Histogram, PercentilesWithinOnePercentOfExactOrderStatistics)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        std::vector<std::uint64_t> samples =
+            logUniformSamples(seed, 20'000);
+        Histogram h;
+        for (const std::uint64_t v : samples)
+            h.add(v);
+        std::sort(samples.begin(), samples.end());
+        EXPECT_EQ(h.min(), samples.front());
+        EXPECT_EQ(h.max(), samples.back());
+        for (const double frac : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+            // Nearest rank: the ceil(frac * n)-th smallest sample.
+            const auto rank = std::max<std::size_t>(
+                1, static_cast<std::size_t>(std::ceil(
+                       frac * static_cast<double>(samples.size()))));
+            const auto exact =
+                static_cast<double>(samples[rank - 1]);
+            const double got = h.percentile(frac);
+            if (frac == 0.0 || frac == 1.0)
+                EXPECT_EQ(got, exact) << "seed " << seed << " p" << frac;
+            else
+                EXPECT_LE(std::abs(got - exact), 0.01 * exact)
+                    << "seed " << seed << " p" << frac << " exact "
+                    << exact << " got " << got;
+        }
+    }
+}
+
+TEST(Histogram, MergeEqualsHistogramOfConcatenatedSamples)
+{
+    const std::vector<std::uint64_t> a = logUniformSamples(7, 3000);
+    // A narrower second half, so the two cover different buckets.
+    std::vector<std::uint64_t> b = logUniformSamples(8, 5000);
+    for (auto &v : b)
+        v /= 4096;
+    Histogram ha, hb, whole;
+    for (const std::uint64_t v : a) {
+        ha.add(v);
+        whole.add(v);
+    }
+    for (const std::uint64_t v : b) {
+        hb.add(v);
+        whole.add(v);
+    }
+    // Merge into the shorter one, so merge() has to grow it.
+    hb.merge(ha);
+    ASSERT_EQ(hb.numBuckets(), whole.numBuckets());
+    for (std::size_t i = 0; i < whole.numBuckets(); ++i)
+        EXPECT_EQ(hb.bucketCount(i), whole.bucketCount(i)) << i;
+    EXPECT_EQ(hb.totalCount(), whole.totalCount());
+    EXPECT_EQ(hb.min(), whole.min());
+    EXPECT_EQ(hb.max(), whole.max());
+    for (const double frac : {0.0, 0.5, 0.9, 0.99, 1.0})
+        EXPECT_EQ(hb.percentile(frac), whole.percentile(frac));
+
+    // Merging an empty histogram changes nothing, either way round.
+    Histogram empty;
+    empty.merge(whole);
+    EXPECT_EQ(empty.percentile(0.0), whole.percentile(0.0));
+    EXPECT_EQ(empty.totalCount(), whole.totalCount());
+    whole.merge(Histogram());
+    EXPECT_EQ(whole.min(), hb.min());
 }
 
 TEST(StatGroup, IncrementAndRead)

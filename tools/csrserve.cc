@@ -366,8 +366,7 @@ runServer(const CliArgs &args)
     // totals an in-process run of the same op stream prints.  The
     // shed count is the net tier's -- the service never sees a shed
     // command, so the fold happens here.
-    HarnessResult result(HarnessConfig{}.histMaxNs,
-                         HarnessConfig{}.histBuckets);
+    HarnessResult result;
     result.totals = service.totals();
     const net::NetStats net_stats = server.stats();
     result.totals.shedOps = net_stats.shedOps;
@@ -404,8 +403,7 @@ int
 runClient(const CliArgs &args)
 {
     const net::ClientConfig config = net::ClientConfig::fromArgs(args);
-    net::ClientResult result(config.harness.histMaxNs,
-                             config.harness.histBuckets);
+    net::ClientResult result;
     {
         const TraceSession session(args.tracePath());
         result = net::runClientLoad(config);
@@ -460,8 +458,7 @@ runInProcess(const CliArgs &args)
     RecordSession recorder(service, args.get("record", ""));
     const HarnessConfig harness_config = HarnessConfig::fromArgs(args);
 
-    HarnessResult result(harness_config.histMaxNs,
-                         harness_config.histBuckets);
+    HarnessResult result;
     {
         const TraceSession session(args.tracePath());
         result = runLoad(service, harness_config);
