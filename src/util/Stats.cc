@@ -100,7 +100,7 @@ Histogram::percentile(double frac) const
     if (total_ == 0)
         return 0.0;
     frac = std::clamp(frac, 0.0, 1.0);
-    auto rank = static_cast<std::uint64_t>(
+    const auto rank = static_cast<std::uint64_t>(
         std::ceil(frac * static_cast<double>(total_)));
     if (rank <= 1)
         return static_cast<double>(min());
