@@ -6,6 +6,9 @@
  * correlator, and end-to-end runs on the synthetic benchmarks.
  */
 
+#include <cstdio>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "numa/Event.h"
@@ -473,6 +476,153 @@ TEST(MissLatencyHistogram, MergedHistogramAccountsForEveryMiss)
     EXPECT_EQ(hist.percentile(1.0), res.missLatencyStat.max());
     EXPECT_EQ(hist.percentile(0.0), res.missLatencyStat.min());
     EXPECT_LE(hist.percentile(0.99), hist.percentile(1.0));
+}
+
+// ---------------------------------------------------------------------------
+// Pinned simulated outputs
+// ---------------------------------------------------------------------------
+
+/** FNV-1a over everything a run simulates. */
+class Digest
+{
+  public:
+    void
+    bytes(const void *data, std::size_t n)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h_ ^= p[i];
+            h_ *= 1099511628211ULL;
+        }
+    }
+    void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
+    void
+    f64(double v)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        u64(bits);
+    }
+    void
+    str(const std::string &s)
+    {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+struct GoldenCase
+{
+    BenchmarkId benchmark;
+    PolicyKind policy;
+    bool hints;
+    std::uint32_t cycleNs;
+    std::uint64_t digest;
+};
+
+std::uint64_t
+digestOf(const NumaResult &res, const LatencyCorrelator &corr)
+{
+    Digest d;
+    d.u64(res.execTimeNs);
+    d.u64(res.totalOps);
+    d.u64(res.totalMisses);
+    d.f64(res.aggregateMissLatencyNs);
+    d.f64(res.avgMissLatencyNs);
+    d.u64(res.stats.all().size());
+    for (const auto &[name, value] : res.stats.all()) {
+        d.str(name);
+        d.u64(value);
+    }
+    const Histogram &hist = res.missLatencyHist;
+    d.u64(hist.totalCount());
+    d.u64(hist.min());
+    d.u64(hist.max());
+    for (std::size_t i = 0; i < hist.numBuckets(); ++i) {
+        if (hist.bucketCount(i) != 0) {
+            d.u64(i);
+            d.u64(hist.bucketCount(i));
+        }
+    }
+    d.u64(corr.totalPairs());
+    for (int last = 0; last < LatencyCorrelator::kClasses; ++last) {
+        for (int cur = 0; cur < LatencyCorrelator::kClasses; ++cur) {
+            const LatencyCorrelator::Cell &cell = corr.cell(last, cur);
+            d.u64(cell.count);
+            d.u64(cell.mismatches);
+            d.f64(cell.absErrorNs);
+        }
+    }
+    return d.value();
+}
+
+TEST(NumaGolden, PinnedDigests)
+{
+    // Every simulated statistic of a test-scale run -- execution
+    // time, ops, misses, aggregate latency, every named counter (so
+    // key presence too), the miss-latency histogram and the Table 3
+    // correlator -- hashed and pinned.  A change meant only to speed
+    // up the simulator must leave each digest as it is.
+    constexpr BenchmarkId kBarnes = BenchmarkId::Barnes;
+    constexpr BenchmarkId kLu = BenchmarkId::Lu;
+    constexpr BenchmarkId kOcean = BenchmarkId::Ocean;
+    constexpr BenchmarkId kRaytrace = BenchmarkId::Raytrace;
+    constexpr PolicyKind kLru = PolicyKind::Lru;
+    constexpr PolicyKind kDcl = PolicyKind::Dcl;
+    constexpr PolicyKind kAcl = PolicyKind::Acl;
+    const GoldenCase cases[] = {
+        // clang-format off
+        {kBarnes,   kLru, true,  2, 0x76c3c52f7dabcc6dull},
+        {kBarnes,   kLru, false, 2, 0x7acf283d7cc8e184ull},
+        {kBarnes,   kDcl, true,  2, 0x54e683c34039038eull},
+        {kBarnes,   kDcl, false, 2, 0xf22c9a937ccb86f0ull},
+        {kBarnes,   kAcl, true,  2, 0x0addaba7654d0a7dull},
+        {kBarnes,   kAcl, false, 2, 0x2edfd9df144e6a31ull},
+        {kLu,       kLru, true,  2, 0x61096c02afeb7ce1ull},
+        {kLu,       kLru, false, 2, 0x87f60252594f732dull},
+        {kLu,       kDcl, true,  2, 0x80e59f29935fadf7ull},
+        {kLu,       kDcl, false, 2, 0x1f15ec64c1a98a41ull},
+        {kLu,       kAcl, true,  2, 0xaa3d7a11c51ba706ull},
+        {kLu,       kAcl, false, 2, 0x817b3ac44018c5e9ull},
+        {kOcean,    kLru, true,  2, 0x0ab8a54111578b37ull},
+        {kOcean,    kLru, false, 2, 0xe3b9fff366dd6156ull},
+        {kOcean,    kDcl, true,  2, 0xab38f4377bafbdebull},
+        {kOcean,    kDcl, false, 2, 0x7ebd265b9f1b99b7ull},
+        {kOcean,    kAcl, true,  2, 0x004c4f16362b57e9ull},
+        {kOcean,    kAcl, false, 2, 0xe660ac582622b6f9ull},
+        {kRaytrace, kLru, true,  2, 0xaec0b4f1e205eec3ull},
+        {kRaytrace, kLru, false, 2, 0xcbd8179a0ef8626dull},
+        {kRaytrace, kDcl, true,  2, 0x0bf7a46a8fb595f2ull},
+        {kRaytrace, kDcl, false, 2, 0x653ab57e53922f08ull},
+        {kRaytrace, kAcl, true,  2, 0xb8ff7269bcc2cf38ull},
+        {kRaytrace, kAcl, false, 2, 0x2572585d742d122eull},
+        {kBarnes,   kDcl, true,  1, 0x98e1e1fcc25131faull},
+        {kLu,       kDcl, true,  1, 0x88a6b7059b16fda4ull},
+        {kOcean,    kDcl, true,  1, 0xf8b039846db9eaafull},
+        {kRaytrace, kDcl, true,  1, 0x5808eae2fe7de188ull},
+        // clang-format on
+    };
+    for (const GoldenCase &c : cases) {
+        auto wl = makeWorkload(c.benchmark, WorkloadScale::Test, true);
+        NumaConfig config;
+        config.policy = c.policy;
+        config.replacementHints = c.hints;
+        config.cycleNs = c.cycleNs;
+        NumaSystem sys(config, *wl);
+        const NumaResult res = sys.run();
+        const std::uint64_t got = digestOf(res, sys.correlator());
+        char pinned[32];
+        std::snprintf(pinned, sizeof(pinned), "0x%016llxull",
+                      static_cast<unsigned long long>(got));
+        EXPECT_EQ(got, c.digest)
+            << benchmarkName(c.benchmark) << " "
+            << policyKindName(c.policy) << " hints=" << c.hints
+            << " cycleNs=" << c.cycleNs << " digest " << pinned;
+    }
 }
 
 // ---------------------------------------------------------------------------
