@@ -17,8 +17,8 @@
 #define CSR_COST_LATENCYPREDICTOR_H
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "util/FlatMap.h"
 #include "util/Types.h"
 
 namespace csr
@@ -54,15 +54,15 @@ class LatencyPredictor
     Cost
     predict(Addr block_addr) const
     {
-        auto it = table_.find(block_addr);
-        return it == table_.end() ? defaultLatency_ : it->second;
+        const Cost *last = table_.find(block_addr);
+        return last ? *last : defaultLatency_;
     }
 
     /** True if the block has a recorded history. */
     bool
     known(Addr block_addr) const
     {
-        return table_.find(block_addr) != table_.end();
+        return table_.find(block_addr) != nullptr;
     }
 
     std::uint64_t updates() const { return updates_; }
@@ -71,13 +71,13 @@ class LatencyPredictor
     void
     reset()
     {
-        table_.clear();
+        table_ = FlatMap<Cost>{};
         updates_ = 0;
     }
 
   private:
     Cost defaultLatency_;
-    std::unordered_map<Addr, Cost> table_;
+    FlatMap<Cost> table_;
     std::uint64_t updates_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "numa/CacheController.h"
 
+#include <utility>
+
 #include "telemetry/Telemetry.h"
 #include "util/Logging.h"
 
@@ -14,8 +16,20 @@ CacheController::CacheController(ProcId node, const NumaConfig &config,
       l2Geom_(config.l2Bytes, config.l2Assoc, config.blockBytes),
       l1_(l1Geom_),
       l2_(l2Geom_, makePolicy(config.policy, l2Geom_, config.policyParams)),
-      predictor_(config.defaultPredictedLatency)
+      predictor_(config.defaultPredictedLatency), mshrs_(config.mshrs)
 {
+    for (Mshr &mshr : mshrs_)
+        mshr.waiters.reserve(config.mshrs);
+    draining_.reserve(config.mshrs);
+}
+
+CacheController::Mshr *
+CacheController::findMshr(Addr block)
+{
+    for (std::size_t i = 0; i < liveMshrs_; ++i)
+        if (mshrs_[i].block == block)
+            return &mshrs_[i];
+    return nullptr;
 }
 
 bool
@@ -63,7 +77,7 @@ CacheController::access(Addr byte_addr, bool write, MissDone done)
                            static_cast<std::uint32_t>(
                                LineState::Modified));
             }
-            stats_.inc("l1.hit");
+            counters_.inc(kL1Hit);
             return AccessOutcome::HitL1;
         }
         l2_.noteAccess(set, tag, way);
@@ -72,17 +86,16 @@ CacheController::access(Addr byte_addr, bool write, MissDone done)
                        static_cast<std::uint32_t>(LineState::Modified));
         }
         installL1(block);
-        stats_.inc("l2.hit");
+        counters_.inc(kL2Hit);
         return AccessOutcome::HitL2;
     }
 
     // Miss (including upgrade-miss on a Shared line).
-    stats_.inc(write ? "l2.miss.write" : "l2.miss.read");
-    auto it = mshrs_.find(block);
-    if (it != mshrs_.end()) {
+    counters_.inc(write ? kL2MissWrite : kL2MissRead);
+    if (Mshr *pending = findMshr(block)) {
         // Coalesce into the outstanding transaction.
-        it->second.waiters.emplace_back(write, std::move(done));
-        stats_.inc("l2.mshr.coalesce");
+        pending->waiters.push_back({write, done});
+        counters_.inc(kMshrCoalesce);
         return AccessOutcome::Miss;
     }
 
@@ -96,22 +109,19 @@ CacheController::access(Addr byte_addr, bool write, MissDone done)
         l2_.noteAccess(set, tag, kInvalidWay);
     }
 
-    Mshr mshr;
+    // Only a driver other than the Processor can exceed the
+    // configured MSHR count; the pool grows for it.
+    if (liveMshrs_ == mshrs_.size())
+        mshrs_.emplace_back();
+    Mshr &mshr = mshrs_[liveMshrs_++];
+    mshr.block = block;
     mshr.write = write;
-    mshr.upgrade = upgrade;
     mshr.issued = events_.now();
-    mshr.waiters.emplace_back(write, std::move(done));
-    mshrs_.emplace(block, std::move(mshr));
-    issueRequest(block, write, upgrade);
-    return AccessOutcome::Miss;
-}
-
-void
-CacheController::issueRequest(Addr block, bool write, bool upgrade)
-{
-    (void)upgrade;
+    mshr.waiters.clear();
+    mshr.waiters.push_back({write, done});
     sendToHome(write ? MsgType::GetX : MsgType::GetS, block,
                events_.now());
+    return AccessOutcome::Miss;
 }
 
 void
@@ -136,9 +146,9 @@ CacheController::receive(const Message &msg)
         const int way = l2_.invalidateTag(set, tag);
         if (way != kInvalidWay) {
             invalidateL1(msg.block);
-            stats_.inc("coh.inv");
+            counters_.inc(kCohInv);
         } else {
-            stats_.inc("coh.inv_absent");
+            counters_.inc(kCohInvAbsent);
         }
         Message ack;
         ack.type = MsgType::InvAck;
@@ -160,7 +170,7 @@ CacheController::receive(const Message &msg)
         resp.requester = msg.requester;
         if (way == kInvalidWay) {
             resp.type = MsgType::FetchStale;
-            stats_.inc("coh.fetch_stale");
+            counters_.inc(kCohFetchStale);
         } else {
             resp.type = MsgType::FetchResp;
             resp.dirty = static_cast<LineState>(l2_.auxAt(set, way)) ==
@@ -169,11 +179,11 @@ CacheController::receive(const Message &msg)
                 l2_.setAux(set, way,
                            static_cast<std::uint32_t>(
                                LineState::Shared));
-                stats_.inc("coh.downgrade");
+                counters_.inc(kCohDowngrade);
             } else {
                 l2_.invalidateTag(set, tag);
                 invalidateL1(msg.block);
-                stats_.inc("coh.fetch_inv");
+                counters_.inc(kCohFetchInv);
             }
         }
         network_.send(resp);
@@ -188,24 +198,33 @@ CacheController::receive(const Message &msg)
 void
 CacheController::handleData(const Message &msg)
 {
-    auto it = mshrs_.find(msg.block);
-    csr_assert(it != mshrs_.end(), "data reply without MSHR");
-    Mshr mshr = std::move(it->second);
-    mshrs_.erase(it);
+    Mshr *mshr = findMshr(msg.block);
+    csr_assert(mshr != nullptr, "data reply without MSHR");
+    const bool write = mshr->write;
+    const Tick issued = mshr->issued;
+    // Retire the MSHR before waking its waiters (a write waiter that
+    // finds only an S line chains a new one), keeping its waiters in
+    // draining_.  Waiters never complete synchronously, so this does
+    // not nest.
+    draining_.clear();
+    draining_.swap(mshr->waiters);
+    Mshr &last = mshrs_[--liveMshrs_];
+    if (mshr != &last)
+        std::swap(*mshr, last);
 
     const Tick now = events_.now();
-    const auto latency = static_cast<Cost>(now - mshr.issued);
+    const auto latency = static_cast<Cost>(now - issued);
     predictor_.update(msg.block, latency);
     missLatency_.add(latency);
-    missLatencyHist_.add(now - mshr.issued);
-    stats_.inc("l2.fill");
+    missLatencyHist_.add(now - issued);
+    counters_.inc(kL2Fill);
     CSR_TRACE_INSTANT_V("numa", "l2.fill_latency_ns", latency);
 
     // Replacement cost of the block's next miss: the measured latency,
     // optionally discounted for store misses (penalty weighting,
     // Section 7).
     const Cost cost =
-        mshr.write ? latency * config_.storeCostWeight : latency;
+        write ? latency * config_.storeCostWeight : latency;
 
     const Addr addr = byteOf(msg.block);
     const std::uint32_t set = l2Geom_.setIndex(addr);
@@ -231,14 +250,11 @@ CacheController::handleData(const Message &msg)
 
     // Wake the waiters.  Write waiters that found only an S line
     // re-execute and chain an upgrade transaction.
-    for (auto &[is_write, done] : mshr.waiters) {
-        if (is_write && state == LineState::Shared) {
-            const AccessOutcome outcome =
-                access(addr, true, std::move(done));
-            (void)outcome;
-        } else {
-            done(now);
-        }
+    for (const Waiter &waiter : draining_) {
+        if (waiter.write && state == LineState::Shared)
+            access(addr, true, waiter.done);
+        else
+            waiter.done(now);
     }
 }
 
@@ -266,14 +282,14 @@ CacheController::disposeVictim(std::uint32_t set, Addr victim_tag,
 
     if (state == LineState::Modified) {
         sendToHome(MsgType::PutM, victim_block, events_.now());
-        stats_.inc("l2.writeback");
+        counters_.inc(kL2Writeback);
     } else if (config_.replacementHints) {
         sendToHome(state == LineState::Exclusive ? MsgType::PutE
                                                  : MsgType::PutS,
                    victim_block, events_.now());
-        stats_.inc("l2.hint");
+        counters_.inc(kL2Hint);
     } else {
-        stats_.inc("l2.silent_evict");
+        counters_.inc(kL2SilentEvict);
     }
     // Note: the policy is NOT told about evictions through
     // invalidate(); selectVictim()/fill() manage the stack, and the

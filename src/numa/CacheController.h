@@ -17,8 +17,6 @@
 #ifndef CSR_NUMA_CACHECONTROLLER_H
 #define CSR_NUMA_CACHECONTROLLER_H
 
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/CacheModel.h"
@@ -28,6 +26,7 @@
 #include "numa/Event.h"
 #include "numa/Network.h"
 #include "numa/NumaConfig.h"
+#include "numa/StatCounters.h"
 #include "util/Stats.h"
 
 namespace csr
@@ -54,8 +53,8 @@ class CacheController
 {
   public:
     /** Miss-completion callback: fires at the tick the data became
-     *  available. */
-    using MissDone = std::function<void(Tick)>;
+     *  available.  Captures up to two words. */
+    using MissDone = InlineFunction<void(Tick), 16>;
 
     CacheController(ProcId node, const NumaConfig &config,
                     EventQueue &events, MeshNetwork &network,
@@ -72,9 +71,14 @@ class CacheController
     void receive(const Message &msg);
 
     /** Outstanding MSHR count (processor back-pressure). */
-    std::size_t outstandingMisses() const { return mshrs_.size(); }
+    std::size_t outstandingMisses() const { return liveMshrs_; }
 
-    const StatGroup &stats() const { return stats_; }
+    const StatGroup &
+    stats() const
+    {
+        counters_.foldInto(stats_);
+        return stats_;
+    }
     const LatencyPredictor &predictor() const { return predictor_; }
     /** Measured miss latencies (ns). */
     const RunningStat &missLatencyStat() const { return missLatency_; }
@@ -89,15 +93,28 @@ class CacheController
     bool hasLine(Addr block) const;
     LineState lineState(Addr block) const;
 
+    /** Call @p fn(block, state) for every line the L2 holds. */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (std::uint32_t set = 0; set < l2Geom_.numSets(); ++set) {
+            for (int way = 0; way < static_cast<int>(l2Geom_.assoc());
+                 ++way) {
+                if (l2_.isValid(set, way)) {
+                    fn(l2Geom_.blockAddrOf(set, l2_.tagAt(set, way)),
+                       static_cast<LineState>(l2_.auxAt(set, way)));
+                }
+            }
+        }
+    }
+
   private:
     Addr blockOf(Addr byte_addr) const
     {
         return byte_addr >> l2Geom_.blockBits();
     }
     Addr byteOf(Addr block) const { return block << l2Geom_.blockBits(); }
-
-    /** Start a GetS/GetX transaction for a block. */
-    void issueRequest(Addr block, bool write, bool upgrade);
 
     /** Handle an arriving data reply. */
     void handleData(const Message &msg);
@@ -114,12 +131,47 @@ class CacheController
 
     void sendToHome(MsgType type, Addr block, Tick timestamp);
 
+    struct Waiter
+    {
+        bool write;
+        MissDone done;
+    };
+
     struct Mshr
     {
+        Addr block = 0;
         bool write = false;
-        bool upgrade = false; ///< line held in S, waiting for DataM
         Tick issued = 0;
-        std::vector<std::pair<bool, MissDone>> waiters; // (write, cb)
+        std::vector<Waiter> waiters; ///< FIFO; capacity kept on reuse
+    };
+
+    /** The live MSHR for @p block, or null. */
+    Mshr *findMshr(Addr block);
+
+    enum Stat : std::size_t
+    {
+        kL1Hit,
+        kL2Hit,
+        kL2MissRead,
+        kL2MissWrite,
+        kMshrCoalesce,
+        kCohInv,
+        kCohInvAbsent,
+        kCohFetchStale,
+        kCohDowngrade,
+        kCohFetchInv,
+        kL2Fill,
+        kL2Writeback,
+        kL2Hint,
+        kL2SilentEvict,
+        kNumStats,
+    };
+    static constexpr const char *kStatNames[kNumStats] = {
+        "l1.hit",          "l2.hit",          "l2.miss.read",
+        "l2.miss.write",   "l2.mshr.coalesce", "coh.inv",
+        "coh.inv_absent",  "coh.fetch_stale", "coh.downgrade",
+        "coh.fetch_inv",   "l2.fill",         "l2.writeback",
+        "l2.hint",         "l2.silent_evict",
     };
 
     ProcId node_;
@@ -132,8 +184,18 @@ class CacheController
     CacheModel l1_; ///< direct-mapped filter, policy-less
     CacheModel l2_; ///< owns the replacement policy; aux = MESI state
     LatencyPredictor predictor_;
-    std::unordered_map<Addr, Mshr> mshrs_;
-    StatGroup stats_;
+    /**
+     * MSHR pool, built at construction with one slot per configured
+     * MSHR (the processor never has more misses outstanding).  The
+     * first liveMshrs_ slots are in use; freeing swaps a slot to the
+     * end, so its waiter array keeps its capacity.
+     */
+    std::vector<Mshr> mshrs_;
+    std::size_t liveMshrs_ = 0;
+    /** handleData()'s copy of the completing MSHR's waiters. */
+    std::vector<Waiter> draining_;
+    mutable StatCounters<kNumStats> counters_{kStatNames};
+    mutable StatGroup stats_;
     RunningStat missLatency_;
     Histogram missLatencyHist_;
 };

@@ -1,7 +1,9 @@
 #include "numa/Directory.h"
 
 #include <algorithm>
+#include <string>
 
+#include "robust/Errors.h"
 #include "telemetry/Telemetry.h"
 #include "util/Logging.h"
 
@@ -15,13 +17,38 @@ DirectoryController::DirectoryController(ProcId node,
     : node_(node), config_(config), events_(events), network_(network),
       bankFree_(config.memBanks, 0)
 {
+    if (config.numNodes() > SharerList::kCapacity) {
+        throw ConfigError("the directory tracks at most " +
+                          std::to_string(SharerList::kCapacity) +
+                          " nodes, not " +
+                          std::to_string(config.numNodes()));
+    }
+    const std::size_t requests =
+        static_cast<std::size_t>(config.numNodes()) * config.mshrs;
+    txns_.reserve(requests);
+    queued_.reserve(requests);
 }
 
 const DirEntry *
 DirectoryController::entryOf(Addr block) const
 {
-    auto it = dir_.find(block);
-    return it == dir_.end() ? nullptr : &it->second;
+    const Block *b = blocks_.find(block);
+    return b ? &b->entry : nullptr;
+}
+
+bool
+DirectoryController::busy(Addr block) const
+{
+    const Block *b = blocks_.find(block);
+    return b && b->txn != kNoSlot;
+}
+
+DirectoryController::Block &
+DirectoryController::busyBlock(Addr block)
+{
+    Block *b = blocks_.find(block);
+    csr_assert(b && b->txn != kNoSlot, "no transaction in flight");
+    return *b;
 }
 
 void
@@ -32,13 +59,17 @@ DirectoryController::receive(const Message &msg)
       case MsgType::GetX: {
         // Busy means: a transaction in flight, or a queued successor
         // waiting out the directory-occupancy delay before starting.
-        auto wit = waiting_.find(msg.block);
-        const bool queued = wit != waiting_.end() && !wit->second.empty();
-        if (txns_.count(msg.block) || queued) {
-            waiting_[msg.block].push_back(msg);
-            stats_.inc("dir.queued");
+        Block &b = blocks_[msg.block];
+        if (b.txn != kNoSlot || b.waitHead != kNoSlot) {
+            const std::uint32_t slot = queued_.acquire(Queued{msg});
+            if (b.waitTail == kNoSlot)
+                b.waitHead = slot;
+            else
+                queued_[b.waitTail].next = slot;
+            b.waitTail = slot;
+            counters_.inc(kQueued);
         } else {
-            startTransaction(msg);
+            startTransaction(b, msg);
         }
         break;
       }
@@ -64,47 +95,40 @@ DirectoryController::receive(const Message &msg)
 }
 
 void
-DirectoryController::startTransaction(const Message &req)
+DirectoryController::startTransaction(Block &b, const Message &req)
 {
+    csr_assert(b.txn == kNoSlot, "transaction already in flight");
     Txn txn;
     txn.req = req;
-    txn.stateAtArrival = dir_[req.block].state;
-    auto [it, inserted] = txns_.emplace(req.block, txn);
-    csr_assert(inserted, "transaction already in flight");
-    stats_.inc(req.type == MsgType::GetS ? "dir.gets" : "dir.getx");
+    txn.stateAtArrival = b.entry.state;
+    b.txn = txns_.acquire(txn);
+    counters_.inc(req.type == MsgType::GetS ? kGetS : kGetX);
     CSR_TRACE_INSTANT("numa", req.type == MsgType::GetS ? "dir.txn.gets"
                                                         : "dir.txn.getx");
 
     if (req.type == MsgType::GetS)
-        handleGetS(it->second);
+        handleGetS(b);
     else
-        handleGetX(it->second);
+        handleGetX(b);
 }
 
 void
-DirectoryController::handleGetS(Txn &txn)
+DirectoryController::handleGetS(Block &b)
 {
-    DirEntry &entry = dir_[txn.req.block];
+    Txn &txn = txns_[b.txn];
+    const DirEntry &entry = b.entry;
     const Addr block = txn.req.block;
 
     switch (entry.state) {
       case DirEntry::State::Uncached:
       case DirEntry::State::Shared:
-        accessMemory(block, [this, block] {
-            auto it = txns_.find(block);
-            csr_assert(it != txns_.end(), "mem done without txn");
-            it->second.memDone = true;
-            maybeComplete(block);
-        });
+        readMemory(block);
         break;
       case DirEntry::State::Exclusive:
         if (entry.owner == txn.req.src) {
             // Owner silently evicted a clean-exclusive line (no-hints
             // mode) and now re-reads: memory is valid.
-            accessMemory(block, [this, block] {
-                txns_.at(block).memDone = true;
-                maybeComplete(block);
-            });
+            readMemory(block);
         } else {
             txn.waitingFetch = true;
             sendToCache(MsgType::Fetch, block, entry.owner, txn.req.src,
@@ -115,17 +139,15 @@ DirectoryController::handleGetS(Txn &txn)
 }
 
 void
-DirectoryController::handleGetX(Txn &txn)
+DirectoryController::handleGetX(Block &b)
 {
-    DirEntry &entry = dir_[txn.req.block];
+    Txn &txn = txns_[b.txn];
+    const DirEntry &entry = b.entry;
     const Addr block = txn.req.block;
 
     switch (entry.state) {
       case DirEntry::State::Uncached:
-        accessMemory(block, [this, block] {
-            txns_.at(block).memDone = true;
-            maybeComplete(block);
-        });
+        readMemory(block);
         break;
       case DirEntry::State::Shared: {
         std::uint32_t invs = 0;
@@ -137,20 +159,14 @@ DirectoryController::handleGetX(Txn &txn)
             ++invs;
         }
         txn.pendingAcks = invs;
-        stats_.inc("dir.invs", invs);
-        accessMemory(block, [this, block] {
-            txns_.at(block).memDone = true;
-            maybeComplete(block);
-        });
+        counters_.inc(kInvs, invs);
+        readMemory(block);
         break;
       }
       case DirEntry::State::Exclusive:
         if (entry.owner == txn.req.src) {
             // Silent clean eviction followed by a write re-request.
-            accessMemory(block, [this, block] {
-                txns_.at(block).memDone = true;
-                maybeComplete(block);
-            });
+            readMemory(block);
         } else {
             txn.waitingFetch = true;
             sendToCache(MsgType::FetchInv, block, entry.owner,
@@ -163,24 +179,24 @@ DirectoryController::handleGetX(Txn &txn)
 void
 DirectoryController::handleAck(const Message &msg)
 {
-    auto it = txns_.find(msg.block);
-    csr_assert(it != txns_.end(), "InvAck without transaction");
-    csr_assert(it->second.pendingAcks > 0, "unexpected InvAck");
-    --it->second.pendingAcks;
-    maybeComplete(msg.block);
+    Block &b = busyBlock(msg.block);
+    Txn &txn = txns_[b.txn];
+    csr_assert(txn.pendingAcks > 0, "unexpected InvAck");
+    --txn.pendingAcks;
+    maybeComplete(b);
 }
 
 void
 DirectoryController::handleFetchDone(const Message &msg)
 {
-    auto it = txns_.find(msg.block);
-    if (it == txns_.end()) {
+    Block *b = blocks_.find(msg.block);
+    if (!b || b->txn == kNoSlot) {
         // A FetchStale can trail a transaction that a racing PutM
         // already completed; it is harmless.
-        stats_.inc("dir.stale_fetch_resp");
+        counters_.inc(kStaleFetchResp);
         return;
     }
-    Txn &txn = it->second;
+    Txn &txn = txns_[b->txn];
     csr_assert(txn.waitingFetch, "fetch response without fetch");
     txn.waitingFetch = false;
 
@@ -188,9 +204,9 @@ DirectoryController::handleFetchDone(const Message &msg)
         txn.ownerWasDirty = msg.dirty;
         if (msg.dirty) {
             txn.dataFromOwner = true;
-            accessMemory(msg.block, nullptr); // writeback, off path
+            accessMemory(msg.block); // writeback, off path
             txn.memDone = true;
-            maybeComplete(msg.block);
+            maybeComplete(*b);
             return;
         }
         // Clean copy at the owner: memory is valid, read it.
@@ -199,95 +215,89 @@ DirectoryController::handleFetchDone(const Message &msg)
     // PutM already delivered the data).
     if (txn.dataFromOwner) {
         txn.memDone = true;
-        maybeComplete(msg.block);
+        maybeComplete(*b);
         return;
     }
-    const Addr block = msg.block;
-    accessMemory(block, [this, block] {
-        txns_.at(block).memDone = true;
-        maybeComplete(block);
-    });
+    readMemory(msg.block);
 }
 
 void
 DirectoryController::handlePutM(const Message &msg)
 {
-    DirEntry &entry = dir_[msg.block];
-    auto it = txns_.find(msg.block);
-    if (it != txns_.end()) {
+    Block &b = blocks_[msg.block];
+    DirEntry &entry = b.entry;
+    if (b.txn != kNoSlot) {
         // Racing with a Fetch/FetchInv for the same block: use the
         // writeback as the data; the FetchStale will complete us.
-        it->second.dataFromOwner = true;
-        it->second.ownerWasDirty = true;
-        accessMemory(msg.block, nullptr);
-        stats_.inc("dir.putm_race");
+        Txn &txn = txns_[b.txn];
+        txn.dataFromOwner = true;
+        txn.ownerWasDirty = true;
+        accessMemory(msg.block);
+        counters_.inc(kPutMRace);
         return;
     }
     if (entry.state == DirEntry::State::Exclusive &&
         entry.owner == msg.src) {
-        accessMemory(msg.block, nullptr);
+        accessMemory(msg.block);
         entry.state = DirEntry::State::Uncached;
         entry.sharers.clear();
-        stats_.inc("dir.putm");
+        counters_.inc(kPutM);
     } else {
-        stats_.inc("dir.putm_stale");
+        counters_.inc(kPutMStale);
     }
 }
 
 void
 DirectoryController::handlePutS(const Message &msg)
 {
-    DirEntry &entry = dir_[msg.block];
-    auto it = std::find(entry.sharers.begin(), entry.sharers.end(),
-                        msg.src);
-    if (it != entry.sharers.end()) {
-        entry.sharers.erase(it);
+    Block &b = blocks_[msg.block];
+    DirEntry &entry = b.entry;
+    if (entry.sharers.erase(msg.src)) {
         if (entry.sharers.empty() &&
-            entry.state == DirEntry::State::Shared &&
-            txns_.find(msg.block) == txns_.end()) {
+            entry.state == DirEntry::State::Shared && b.txn == kNoSlot) {
             entry.state = DirEntry::State::Uncached;
         }
-        stats_.inc("dir.puts");
+        counters_.inc(kPutS);
     } else {
-        stats_.inc("dir.puts_stale");
+        counters_.inc(kPutSStale);
     }
 }
 
 void
 DirectoryController::handlePutE(const Message &msg)
 {
-    DirEntry &entry = dir_[msg.block];
-    if (txns_.count(msg.block)) {
+    Block &b = blocks_[msg.block];
+    DirEntry &entry = b.entry;
+    if (b.txn != kNoSlot) {
         // The in-flight Fetch will be answered with FetchStale; the
         // completion path rebuilds the entry.
-        stats_.inc("dir.pute_race");
+        counters_.inc(kPutERace);
         return;
     }
     if (entry.state == DirEntry::State::Exclusive &&
         entry.owner == msg.src) {
         entry.state = DirEntry::State::Uncached;
         entry.sharers.clear();
-        stats_.inc("dir.pute");
+        counters_.inc(kPutE);
     } else {
-        stats_.inc("dir.pute_stale");
+        counters_.inc(kPutEStale);
     }
 }
 
 void
-DirectoryController::maybeComplete(Addr block)
+DirectoryController::maybeComplete(Block &b)
 {
-    auto it = txns_.find(block);
-    csr_assert(it != txns_.end(), "maybeComplete without txn");
-    const Txn &txn = it->second;
+    const Txn &txn = txns_[b.txn];
     if (txn.pendingAcks == 0 && !txn.waitingFetch && txn.memDone)
-        complete(block);
+        complete(b);
 }
 
 void
-DirectoryController::complete(Addr block)
+DirectoryController::complete(Block &b)
 {
-    const Txn txn = txns_.at(block);
-    DirEntry &entry = dir_[block];
+    const Txn txn = txns_[b.txn];
+    const Addr block = txn.req.block;
+    DirEntry &entry = b.entry;
     const ProcId req = txn.req.src;
 
     if (txn.req.type == MsgType::GetS) {
@@ -303,10 +313,8 @@ DirectoryController::complete(Addr block)
             sendToCache(MsgType::DataS, block, req, req,
                         txn.req.timestamp);
         } else if (txn.stateAtArrival == DirEntry::State::Shared) {
-            if (std::find(entry.sharers.begin(), entry.sharers.end(),
-                          req) == entry.sharers.end()) {
+            if (!entry.sharers.contains(req))
                 entry.sharers.push_back(req);
-            }
             entry.state = DirEntry::State::Shared;
             CSR_TRACE_INSTANT("numa", "coh.S_to_S");
             sendToCache(MsgType::DataS, block, req, req,
@@ -339,37 +347,52 @@ DirectoryController::complete(Addr block)
         observer_(service);
     }
 
-    txns_.erase(block);
+    txns_.release(b.txn);
+    b.txn = kNoSlot;
 
     // Serve the next queued request for this block, paying the
     // directory occupancy again.  The message stays in the queue
     // until it actually starts so that the block reads as busy and
     // newly arriving requests keep queueing FIFO behind it.
-    auto wit = waiting_.find(block);
-    if (wit != waiting_.end() && !wit->second.empty()) {
-        events_.scheduleIn(config_.dirProcessNs, [this, block] {
-            auto it = waiting_.find(block);
-            csr_assert(it != waiting_.end() && !it->second.empty(),
-                       "queued request vanished");
-            Message next = it->second.front();
-            it->second.pop_front();
-            if (it->second.empty())
-                waiting_.erase(it);
-            startTransaction(next);
-        });
+    if (b.waitHead != kNoSlot) {
+        events_.scheduleIn(config_.dirProcessNs,
+                           [this, block] { startQueued(block); });
     }
 }
 
 void
-DirectoryController::accessMemory(Addr block, std::function<void()> cb)
+DirectoryController::startQueued(Addr block)
+{
+    Block *b = blocks_.find(block);
+    csr_assert(b && b->waitHead != kNoSlot, "queued request vanished");
+    const std::uint32_t slot = b->waitHead;
+    const Message next = queued_[slot].req;
+    b->waitHead = queued_[slot].next;
+    if (b->waitHead == kNoSlot)
+        b->waitTail = kNoSlot;
+    queued_.release(slot);
+    startTransaction(*b, next);
+}
+
+Tick
+DirectoryController::accessMemory(Addr block)
 {
     const std::size_t bank = block % config_.memBanks;
     const Tick start = std::max(events_.now() + config_.dirProcessNs,
                                 bankFree_[bank]);
     bankFree_[bank] = start + config_.memAccessNs;
-    stats_.inc("dir.mem_access");
-    if (cb)
-        events_.schedule(start + config_.memAccessNs, std::move(cb));
+    counters_.inc(kMemAccess);
+    return start + config_.memAccessNs;
+}
+
+void
+DirectoryController::readMemory(Addr block)
+{
+    events_.schedule(accessMemory(block), [this, block] {
+        Block &b = busyBlock(block);
+        txns_[b.txn].memDone = true;
+        maybeComplete(b);
+    });
 }
 
 void

@@ -35,24 +35,22 @@ LatencyCorrelator::observe(const MissService &service)
         hashMix64((static_cast<std::uint64_t>(service.requester) << 48) ^
                   service.block);
 
-    auto it = last_.find(key);
-    if (it != last_.end()) {
-        Cell &c = cells_[static_cast<std::size_t>(it->second.cls)]
+    LastMiss &last = last_[key];
+    if (last.cls >= 0) {
+        Cell &c = cells_[static_cast<std::size_t>(last.cls)]
                         [static_cast<std::size_t>(cls)];
         ++c.count;
         ++totalPairs_;
         const auto diff = static_cast<double>(
-            it->second.unloaded > service.unloadedLatency
-                ? it->second.unloaded - service.unloadedLatency
-                : service.unloadedLatency - it->second.unloaded);
+            last.unloaded > service.unloadedLatency
+                ? last.unloaded - service.unloadedLatency
+                : service.unloadedLatency - last.unloaded);
         if (diff > 0.5) {
             ++c.mismatches;
             c.absErrorNs += diff;
         }
-        it->second = {cls, service.unloadedLatency};
-    } else {
-        last_.emplace(key, LastMiss{cls, service.unloadedLatency});
     }
+    last = {cls, service.unloadedLatency};
 }
 
 double

@@ -21,9 +21,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 
 #include "numa/Directory.h"
+#include "util/FlatMap.h"
 
 namespace csr
 {
@@ -99,13 +99,13 @@ class LatencyCorrelator
   private:
     struct LastMiss
     {
-        int cls = 0;
+        int cls = -1; ///< -1: no miss seen yet
         Tick unloaded = 0;
     };
 
     std::uint32_t cycleNs_;
     std::array<std::array<Cell, kClasses>, kClasses> cells_{};
-    std::unordered_map<std::uint64_t, LastMiss> last_;
+    FlatMap<LastMiss> last_;
     std::uint64_t totalPairs_ = 0;
 };
 

@@ -8,6 +8,9 @@
 namespace csr
 {
 
+static_assert(sizeof(void *) + sizeof(Message) <= EventQueue::kCaptureBytes,
+              "send()'s [this, msg] event must fit inline");
+
 MeshNetwork::MeshNetwork(const NumaConfig &config, EventQueue &events)
     : config_(config), events_(events), sinks_(config.numNodes()),
       linkFree_(static_cast<std::size_t>(config.numNodes()) * 4, 0)
@@ -46,49 +49,17 @@ MeshNetwork::unloadedLatency(ProcId src, ProcId dst, bool data) const
            Tick{flits - 1} * config_.flitNs;
 }
 
-std::size_t
-MeshNetwork::linkIndex(ProcId a, ProcId b) const
-{
-    // Direction: 0=east, 1=west, 2=south, 3=north.
-    std::size_t dir;
-    if (rowOf(a) == rowOf(b))
-        dir = colOf(b) == colOf(a) + 1 ? 0 : 1;
-    else
-        dir = rowOf(b) == rowOf(a) + 1 ? 2 : 3;
-    return static_cast<std::size_t>(a) * 4 + dir;
-}
-
-std::vector<ProcId>
-MeshNetwork::route(ProcId src, ProcId dst) const
-{
-    std::vector<ProcId> path;
-    path.push_back(src);
-    ProcId cur = src;
-    // X first.
-    while (colOf(cur) != colOf(dst)) {
-        cur = colOf(cur) < colOf(dst) ? cur + 1 : cur - 1;
-        path.push_back(cur);
-    }
-    // Then Y.
-    while (rowOf(cur) != rowOf(dst)) {
-        cur = rowOf(cur) < rowOf(dst) ? cur + config_.meshCols
-                                      : cur - config_.meshCols;
-        path.push_back(cur);
-    }
-    return path;
-}
-
 void
 MeshNetwork::send(const Message &msg)
 {
     csr_assert(msg.dst < sinks_.size() && sinks_[msg.dst],
                "send to unattached node");
     const Tick now = events_.now();
-    stats_.inc("net.messages");
+    counters_.inc(kMessages);
 
     if (msg.src == msg.dst) {
         // Intra-node: local bus only.
-        stats_.inc("net.local");
+        counters_.inc(kLocal);
         events_.schedule(now + config_.localBusNs,
                          [this, msg] { sinks_[msg.dst](msg); });
         return;
@@ -98,26 +69,52 @@ MeshNetwork::send(const Message &msg)
     const std::uint32_t flits =
         data ? config_.dataFlits : config_.ctrlFlits;
     const Tick occupancy = Tick{flits} * config_.flitNs;
-    stats_.inc("net.flits", flits);
+    counters_.inc(kFlits, flits);
 
-    // Head-flit progression with per-link availability.
+    // Head-flit progression with per-link availability, hop by hop
+    // along the dimension-order route: X first, then Y.
     Tick head = now + config_.nicNs;
-    const auto path = route(msg.src, msg.dst);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const std::size_t link = linkIndex(path[i], path[i + 1]);
+    const auto cross = [&](std::size_t link) {
         Tick &free_at = linkFree_[link];
         const Tick start = std::max(head, free_at);
         const Tick queued = start - head;
         if (queued > 0)
-            stats_.inc("net.queue_ns", queued);
+            counters_.inc(kQueueNs, queued);
         free_at = start + occupancy;
         head = start + config_.routerNs + config_.flitNs;
+    };
+    // Link index = node * 4 + direction (0=east, 1=west, 2=south,
+    // 3=north).
+    std::size_t cur = msg.src;
+    const std::uint32_t dst_col = colOf(msg.dst);
+    const std::uint32_t dst_row = rowOf(msg.dst);
+    for (std::uint32_t col = colOf(msg.src); col != dst_col;) {
+        if (col < dst_col) {
+            cross(cur * 4 + 0);
+            ++cur;
+            ++col;
+        } else {
+            cross(cur * 4 + 1);
+            --cur;
+            --col;
+        }
+    }
+    for (std::uint32_t row = rowOf(msg.src); row != dst_row;) {
+        if (row < dst_row) {
+            cross(cur * 4 + 2);
+            cur += config_.meshCols;
+            ++row;
+        } else {
+            cross(cur * 4 + 3);
+            cur -= config_.meshCols;
+            --row;
+        }
     }
     // Tail serialization once (cut-through) plus ejection NIC.
     const Tick arrival =
         head + Tick{flits - 1} * config_.flitNs + config_.nicNs;
 
-    stats_.inc("net.hop_total", hops(msg.src, msg.dst));
+    counters_.inc(kHopTotal, hops(msg.src, msg.dst));
     CSR_TRACE_INSTANT_V("numa", "net.msg_latency_ns", arrival - now);
     events_.schedule(arrival, [this, msg] { sinks_[msg.dst](msg); });
 }

@@ -14,12 +14,12 @@
 #ifndef CSR_NUMA_NETWORK_H
 #define CSR_NUMA_NETWORK_H
 
-#include <functional>
 #include <vector>
 
 #include "numa/Event.h"
 #include "numa/NumaConfig.h"
 #include "numa/Protocol.h"
+#include "numa/StatCounters.h"
 #include "util/Stats.h"
 
 namespace csr
@@ -29,7 +29,8 @@ namespace csr
 class MeshNetwork
 {
   public:
-    using Deliver = std::function<void(const Message &)>;
+    /** A node's message sink; captures up to two words. */
+    using Deliver = InlineFunction<void(const Message &), 16>;
 
     MeshNetwork(const NumaConfig &config, EventQueue &events);
 
@@ -59,24 +60,39 @@ class MeshNetwork
         return n;
     }
 
-    const StatGroup &stats() const { return stats_; }
+    const StatGroup &
+    stats() const
+    {
+        counters_.foldInto(stats_);
+        return stats_;
+    }
 
   private:
+    enum Stat : std::size_t
+    {
+        kMessages,
+        kLocal,
+        kFlits,
+        kQueueNs,
+        kHopTotal,
+        kNumStats,
+    };
+    static constexpr const char *kStatNames[kNumStats] = {
+        "net.messages", "net.local", "net.flits", "net.queue_ns",
+        "net.hop_total",
+    };
+
     std::uint32_t colOf(ProcId id) const { return id % config_.meshCols; }
     std::uint32_t rowOf(ProcId id) const { return id / config_.meshCols; }
 
-    /** Link index for the hop from node a toward adjacent node b. */
-    std::size_t linkIndex(ProcId a, ProcId b) const;
-
-    /** Nodes along the dimension-order route (inclusive endpoints). */
-    std::vector<ProcId> route(ProcId src, ProcId dst) const;
 
     NumaConfig config_;
     EventQueue &events_;
     std::vector<Deliver> sinks_;
     /** busy-until per directed link (4 directions per node). */
     std::vector<Tick> linkFree_;
-    StatGroup stats_;
+    mutable StatCounters<kNumStats> counters_{kStatNames};
+    mutable StatGroup stats_;
 };
 
 } // namespace csr

@@ -186,10 +186,17 @@ NumaResult::exportMetrics(MetricRegistry &registry) const
 void
 NumaSystem::checkCoherenceInvariant() const
 {
-    for (const auto &dir : dirs_) {
-        for (const auto &[block, entry] : dir->entries()) {
-            if (dir->busy(block))
-                continue;
+    // Every violation has an exclusive holder, so only blocks some
+    // cache holds E or M need their holders counted.  A block's
+    // directory entry lives at its home; busy blocks are in flux.
+    for (const auto &holder : caches_) {
+        holder->forEachLine([&](Addr block, LineState state) {
+            if (state == LineState::Shared)
+                return;
+            const DirectoryController &home =
+                *dirs_[homes_.homeOf(block)];
+            if (home.entryOf(block) == nullptr || home.busy(block))
+                return;
             std::uint32_t exclusive = 0;
             std::uint32_t shared = 0;
             for (const auto &cache : caches_) {
@@ -209,7 +216,7 @@ NumaSystem::checkCoherenceInvariant() const
                     "coherence violation: exclusive and shared "
                     "holders of block " + std::to_string(block) +
                     " coexist");
-        }
+        });
     }
 }
 

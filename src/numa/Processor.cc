@@ -13,6 +13,8 @@ Processor::Processor(ProcId id, const NumaConfig &config,
     : id_(id), config_(config), events_(events), cache_(cache),
       stream_(std::move(stream))
 {
+    outstanding_.reserve(config.mshrs);
+    outstandingWrites_.reserve(config.mshrs);
 }
 
 void
@@ -57,7 +59,7 @@ Processor::advance()
 
         if (stalled()) {
             sleeping_ = true;
-            stats_.inc("proc.stall");
+            counters_.inc(kStall);
             return; // resumed by onMissDone()
         }
 
@@ -84,17 +86,17 @@ Processor::advance()
         switch (outcome) {
           case AccessOutcome::HitL1:
             localTime_ += config_.cycles(config_.l1HitCycles);
-            stats_.inc("proc.l1hit");
+            counters_.inc(kL1Hit);
             break;
           case AccessOutcome::HitL2:
             localTime_ += config_.cycles(config_.l2HitCycles);
-            stats_.inc("proc.l2hit");
+            counters_.inc(kL2Hit);
             break;
           case AccessOutcome::Miss:
             outstanding_.push_back(index);
             if (op_.write)
                 outstandingWrites_.push_back(index);
-            stats_.inc("proc.miss");
+            counters_.inc(kMiss);
             break;
         }
     }

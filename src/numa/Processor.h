@@ -17,12 +17,14 @@
 #ifndef CSR_NUMA_PROCESSOR_H
 #define CSR_NUMA_PROCESSOR_H
 
-#include <deque>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "numa/CacheController.h"
 #include "numa/Event.h"
 #include "numa/NumaConfig.h"
+#include "numa/StatCounters.h"
 #include "trace/Workload.h"
 #include "util/Stats.h"
 
@@ -48,7 +50,12 @@ class Processor
 
     std::uint64_t opsIssued() const { return opIndex_; }
 
-    const StatGroup &stats() const { return stats_; }
+    const StatGroup &
+    stats() const
+    {
+        counters_.foldInto(stats_);
+        return stats_;
+    }
 
   private:
     /** Issue ops until a stall condition or the end of the stream. */
@@ -59,6 +66,18 @@ class Processor
 
     /** True if issue must pause until a completion event. */
     bool stalled() const;
+
+    enum Stat : std::size_t
+    {
+        kStall,
+        kL1Hit,
+        kL2Hit,
+        kMiss,
+        kNumStats,
+    };
+    static constexpr const char *kStatNames[kNumStats] = {
+        "proc.stall", "proc.l1hit", "proc.l2hit", "proc.miss",
+    };
 
     ProcId id_;
     NumaConfig config_;
@@ -73,10 +92,13 @@ class Processor
     bool wakePending_ = false; ///< an advance() event is scheduled
     Tick localTime_ = 0;     ///< core-local clock (>= event time at issue)
     std::uint64_t opIndex_ = 0;
-    std::deque<std::uint64_t> outstanding_; // op indices, oldest first
-    std::deque<std::uint64_t> outstandingWrites_;
+    /** Op indices of the outstanding misses, oldest first; reserved
+     *  for config.mshrs, which stalled() never lets them exceed. */
+    std::vector<std::uint64_t> outstanding_;
+    std::vector<std::uint64_t> outstandingWrites_;
     Tick finishTime_ = 0;
-    StatGroup stats_;
+    mutable StatCounters<kNumStats> counters_{kStatNames};
+    mutable StatGroup stats_;
 };
 
 } // namespace csr

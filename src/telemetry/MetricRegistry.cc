@@ -141,35 +141,6 @@ MetricRegistry::empty() const
            histograms_.empty();
 }
 
-TextTable
-MetricRegistry::toTable(const std::string &title) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    TextTable table(title);
-    table.setHeader({"Metric", "Kind", "Count", "Value", "Min", "Max"});
-    for (const auto &[name, value] : counters_)
-        table.addRow({name, "counter", "-", TextTable::count(value),
-                      "-", "-"});
-    for (const auto &[name, value] : stats_)
-        table.addRow({name, "stat", TextTable::count(value.count()),
-                      TextTable::num(value.mean(), 3),
-                      TextTable::num(value.min(), 3),
-                      TextTable::num(value.max(), 3)});
-    for (const auto &[name, value] : timers_)
-        table.addRow({name, "timer(s)",
-                      TextTable::count(value.count()),
-                      TextTable::num(value.mean(), 4),
-                      TextTable::num(value.min(), 4),
-                      TextTable::num(value.max(), 4)});
-    for (const auto &[name, value] : histograms_)
-        table.addRow({name, "histogram",
-                      TextTable::count(value.totalCount()),
-                      "p50=" + TextTable::num(value.percentile(0.5), 1),
-                      "p10=" + TextTable::num(value.percentile(0.1), 1),
-                      "p99=" + TextTable::num(value.percentile(0.99), 1)});
-    return table;
-}
-
 namespace
 {
 

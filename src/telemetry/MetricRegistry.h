@@ -8,8 +8,7 @@
  * Histograms, and per-bench JSON writers.  The registry gives them
  * one sink: components (or their result structs) export into a
  * MetricRegistry, and every consumer -- csrsim --metrics, the bench
- * JSON emitters, tests -- reads one schema, as a text table or as
- * JSON:
+ * JSON emitters, tests -- reads one schema, as JSON:
  *
  *   {
  *     "counters":   { "name": 123, ... },
@@ -42,7 +41,6 @@
 #include <string_view>
 
 #include "util/Stats.h"
-#include "util/Table.h"
 
 namespace csr
 {
@@ -90,9 +88,6 @@ class MetricRegistry
     bool empty() const;
 
     // --- dumping (the one schema) -----------------------------------------
-
-    /** One row per metric: Metric | Kind | Count | Value | Min | Max. */
-    TextTable toTable(const std::string &title = "metrics") const;
 
     /** The JSON schema documented in the file comment. */
     void writeJson(std::ostream &os) const;

@@ -6,8 +6,13 @@
  * correlator, and end-to-end runs on the synthetic benchmarks.
  */
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
+#include <queue>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +20,35 @@
 #include "numa/NumaSystem.h"
 #include "trace/WorkloadFactory.h"
 #include "util/Random.h"
+
+namespace
+{
+/** Every operator new in this binary, for the allocation gate. */
+std::atomic<std::uint64_t> allocations{0};
+} // namespace
+
+// Out of line, like the deletes below, so no call site sees
+// malloc() or free() meet operator new or delete.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace csr
 {
@@ -107,6 +141,77 @@ TEST(EventQueue, FiresInTimeOrder)
     EXPECT_EQ(q.now(), 30u);
 }
 
+/**
+ * The order the queue must follow, kept here as the reference: a
+ * std::priority_queue of (tick, seq) records, seq counting schedule
+ * calls.
+ */
+class ReferenceQueue
+{
+  public:
+    /** @return the seq of the new event. */
+    std::uint64_t
+    schedule(Tick when)
+    {
+        heap_.push({when, seq_});
+        return seq_++;
+    }
+    /** Pop the next event.  @return its (tick, seq). */
+    std::pair<Tick, std::uint64_t>
+    pop()
+    {
+        const auto top = heap_.top();
+        heap_.pop();
+        return top;
+    }
+    bool empty() const { return heap_.empty(); }
+
+  private:
+    std::priority_queue<std::pair<Tick, std::uint64_t>,
+                        std::vector<std::pair<Tick, std::uint64_t>>,
+                        std::greater<>>
+        heap_;
+    std::uint64_t seq_ = 0;
+};
+
+/** A randomized schedule: heavy tick ties, and events that schedule
+ *  more events when they fire. */
+struct RandomSchedule
+{
+    EventQueue queue;
+    ReferenceQueue reference;
+    Rng rng{77};
+    std::vector<std::uint64_t> fired; ///< seqs in firing order
+    int budget = 20'000;              ///< events still to schedule
+
+    void
+    add(Tick when)
+    {
+        const std::uint64_t seq = reference.schedule(when);
+        queue.schedule(when, Fire{this, seq});
+        --budget;
+    }
+
+    /** Ticks cluster on few values, so most events tie. */
+    Tick delta() { return rng.nextBelow(4) == 0 ? rng.nextBelow(40) : 0; }
+
+    struct Fire
+    {
+        RandomSchedule *schedule;
+        std::uint64_t seq;
+
+        void
+        operator()() const
+        {
+            RandomSchedule &s = *schedule;
+            s.fired.push_back(seq);
+            const std::uint64_t children = s.rng.nextBelow(3);
+            for (std::uint64_t i = 0; i < children && s.budget > 0; ++i)
+                s.add(s.queue.now() + s.delta());
+        }
+    };
+};
+
 TEST(EventQueue, SimultaneousEventsFifo)
 {
     EventQueue q;
@@ -115,6 +220,24 @@ TEST(EventQueue, SimultaneousEventsFifo)
         q.schedule(7, [&order, i] { order.push_back(i); });
     q.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+
+    // Randomized: every event fires in (tick, seq) order, including
+    // ties among events scheduled by events of the same tick.
+    RandomSchedule s;
+    for (int i = 0; i < 200; ++i)
+        s.add(s.delta());
+    std::size_t max_pending = 0;
+    while (!s.queue.empty()) {
+        max_pending = std::max(max_pending, s.queue.pending());
+        s.queue.step();
+        ASSERT_FALSE(s.reference.empty());
+        const auto [when, seq] = s.reference.pop();
+        ASSERT_EQ(s.fired.back(), seq);
+        ASSERT_EQ(s.queue.now(), when);
+    }
+    EXPECT_TRUE(s.reference.empty());
+    EXPECT_EQ(s.fired.size(), static_cast<std::size_t>(20'000 - s.budget));
+    EXPECT_GT(max_pending, 100u); // the heap was several levels deep
 }
 
 TEST(EventQueue, EventsMayScheduleEvents)
@@ -622,6 +745,62 @@ TEST(NumaGolden, PinnedDigests)
             << benchmarkName(c.benchmark) << " "
             << policyKindName(c.policy) << " hints=" << c.hints
             << " cycleNs=" << c.cycleNs << " digest " << pinned;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Allocation gate
+// ---------------------------------------------------------------------------
+
+TEST(NumaAllocations, RunAllocatesNothingPerMiss)
+{
+    // The Ocean test-scale program, recorded per processor outside
+    // the counted region.  Running it over again in one program
+    // touches no new block, so a repeat pass grows no table: the
+    // difference between a six-pass and a two-pass run is what the
+    // simulator allocates per miss in steady state, with
+    // construction, table doublings and the result assembly
+    // cancelled out.
+    auto ocean = makeWorkload(BenchmarkId::Ocean, WorkloadScale::Test, true);
+    std::vector<std::vector<MemAccess>> once(ocean->numProcs());
+    for (ProcId p = 0; p < ocean->numProcs(); ++p) {
+        auto stream = ocean->procStream(p);
+        MemAccess op{};
+        while (stream->next(op))
+            once[p].push_back(op);
+    }
+    struct Count
+    {
+        std::uint64_t allocations;
+        std::uint64_t misses;
+    };
+    const auto run = [&](int passes, PolicyKind policy) {
+        std::vector<std::vector<MemAccess>> programs(once.size());
+        for (std::size_t p = 0; p < once.size(); ++p)
+            for (int i = 0; i < passes; ++i)
+                programs[p].insert(programs[p].end(), once[p].begin(),
+                                   once[p].end());
+        VectorWorkload wl(programs);
+        NumaConfig config;
+        config.policy = policy;
+        NumaSystem sys(config, wl);
+        const std::uint64_t before = allocations.load();
+        const NumaResult res = sys.run();
+        return Count{allocations.load() - before, res.totalMisses};
+    };
+    for (PolicyKind policy : {PolicyKind::Lru, PolicyKind::Dcl}) {
+        const Count shorter = run(2, policy);
+        const Count longer = run(6, policy);
+        ASSERT_GT(longer.misses, shorter.misses + 10'000)
+            << policyKindName(policy);
+        const double per_miss =
+            static_cast<double>(longer.allocations -
+                                shorter.allocations) /
+            static_cast<double>(longer.misses - shorter.misses);
+        EXPECT_LT(per_miss, 0.01)
+            << policyKindName(policy) << ": " << shorter.allocations
+            << " allocations for " << shorter.misses << " misses, "
+            << longer.allocations << " for " << longer.misses;
     }
 }
 
