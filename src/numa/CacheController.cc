@@ -109,10 +109,7 @@ CacheController::access(Addr byte_addr, bool write, MissDone done)
         l2_.noteAccess(set, tag, kInvalidWay);
     }
 
-    // Only a driver other than the Processor can exceed the
-    // configured MSHR count; the pool grows for it.
-    if (liveMshrs_ == mshrs_.size())
-        mshrs_.emplace_back();
+    csr_assert(liveMshrs_ < mshrs_.size(), "MSHR pool exhausted");
     Mshr &mshr = mshrs_[liveMshrs_++];
     mshr.block = block;
     mshr.write = write;

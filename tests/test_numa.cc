@@ -12,12 +12,14 @@
 #include <cstring>
 #include <new>
 #include <queue>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "numa/Event.h"
 #include "numa/NumaSystem.h"
+#include "robust/Errors.h"
 #include "trace/WorkloadFactory.h"
 #include "util/Random.h"
 
@@ -481,6 +483,73 @@ TEST(Protocol, UpgradeFromSharedToModified)
     ASSERT_TRUE(sys.cache(0).hasLine(block));
     EXPECT_EQ(sys.cache(0).lineState(block), LineState::Modified);
     EXPECT_FALSE(sys.cache(1).hasLine(block));
+}
+
+/** Forge a Modified copy of @p block in @p node's cache behind the
+ *  directory's back: a write miss whose GetX never reaches the home,
+ *  answered by a DataM delivered straight to the cache. */
+void
+forgeModified(NumaSystem &sys, ProcId node, Addr block)
+{
+    CacheController &cache = sys.cache(node);
+    cache.access(block * 64, true, [](Tick) {});
+    Message data;
+    data.type = MsgType::DataM;
+    data.block = block;
+    data.dst = node;
+    cache.receive(data);
+    ASSERT_EQ(cache.lineState(block), LineState::Modified);
+}
+
+/** The message of the InvariantError checkCoherenceInvariant throws,
+ *  or "" when it throws none. */
+std::string
+coherenceViolation(const NumaSystem &sys)
+{
+    try {
+        sys.checkCoherenceInvariant();
+    } catch (const InvariantError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(Protocol, InvariantCatchesTwoExclusiveHolders)
+{
+    NumaConfig config = baseConfig();
+    VectorWorkload wl({{rd(0x3000)}});
+    NumaSystem sys(config, wl);
+    sys.run();
+    const Addr block = 0x3000 / 64;
+    ASSERT_EQ(sys.cache(0).lineState(block), LineState::Exclusive);
+    ASSERT_FALSE(sys.directory(0).busy(block));
+    EXPECT_EQ(coherenceViolation(sys), "");
+
+    forgeModified(sys, 1, block);
+    EXPECT_NE(coherenceViolation(sys).find("two exclusive holders"),
+              std::string::npos)
+        << coherenceViolation(sys);
+}
+
+TEST(Protocol, InvariantCatchesExclusiveBesideShared)
+{
+    NumaConfig config = baseConfig();
+    std::vector<std::vector<MemAccess>> programs(2);
+    programs[0] = {wr(0x5000)};
+    programs[1] = {rd(0x5000, 4000)};
+    VectorWorkload wl(programs);
+    NumaSystem sys(config, wl);
+    sys.run();
+    const Addr block = 0x5000 / 64;
+    ASSERT_EQ(sys.cache(0).lineState(block), LineState::Shared);
+    ASSERT_EQ(sys.cache(1).lineState(block), LineState::Shared);
+    ASSERT_FALSE(sys.directory(0).busy(block));
+    EXPECT_EQ(coherenceViolation(sys), "");
+
+    forgeModified(sys, 2, block);
+    EXPECT_NE(coherenceViolation(sys).find("exclusive and shared"),
+              std::string::npos)
+        << coherenceViolation(sys);
 }
 
 // ---------------------------------------------------------------------------
